@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 from .linalg import as_matrix, as_vector, vec
 from .spectral import (
-    _check_slope,
     composite_operator,
     gcn_regime,
     graphcnn_regime,
@@ -133,13 +132,19 @@ def prelu(z, slope):
     return np.maximum(z, slope * z)
 
 
+def _check_features(stack, x, name):
+    """x as a validated (n, in_dim) feature matrix of the stack."""
+    x = as_matrix(x, name)
+    if x.shape != (stack.n, stack.in_dim):
+        raise DomainError(
+            f"features must be {stack.n} x {stack.in_dim}, got {x.shape}"
+        )
+    return x
+
+
 def forward(stack, x0):
     """All L per-layer outputs of the stack applied to features x0."""
-    x0 = as_matrix(x0, "x0")
-    if x0.shape != (stack.n, stack.in_dim):
-        raise DomainError(
-            f"features must be {stack.n} x {stack.in_dim}, got {x0.shape}"
-        )
+    x0 = _check_features(stack, x0, "x0")
     outs = []
     y = x0
     for layer in stack.layer_weights:
@@ -149,6 +154,29 @@ def forward(stack, x0):
     return outs
 
 
+def _realized_layers(stack, inputs):
+    """Per layer: (operator, masks, outputs) realized on vectorized inputs.
+
+    inputs holds one vectorized input per row, validated here. The layer's
+    composite operator is built once and shared by every row; row s of
+    masks is the {slope, 1} diagonal read off the signs of row s's
+    pre-activation (entry >= 0 maps to 1), and row s of outputs is that
+    mask times the pre-activation.
+    """
+    ys = as_matrix(inputs, "input")
+    if ys.shape[1] != stack.n * stack.in_dim:
+        raise DomainError(
+            f"input must have {stack.n * stack.in_dim} entries, "
+            f"got {ys.shape[1]}"
+        )
+    for layer in stack.layer_weights:
+        m = composite_operator(stack.pieces, layer)
+        z = np.array([m @ y for y in ys])
+        masks = np.where(z >= 0.0, 1.0, stack.slope)
+        ys = masks * z
+        yield m, masks, ys
+
+
 def activation_masks(stack, x):
     """Per-layer diagonal mask vectors (entries in {slope, 1}) realized on x.
 
@@ -156,15 +184,7 @@ def activation_masks(stack, x):
     1, negative entries to the slope.
     """
     x = as_vector(x, "x")
-    masks = []
-    y = x
-    for layer in stack.layer_weights:
-        m = composite_operator(stack.pieces, layer)
-        z = m @ y
-        mask = np.where(z >= 0.0, 1.0, stack.slope)
-        masks.append(mask)
-        y = mask * z
-    return masks
+    return [masks[0] for _, masks, _ in _realized_layers(stack, x[None, :])]
 
 
 def linearized_map(stack, x):
@@ -175,19 +195,10 @@ def linearized_map(stack, x):
     vectorized forward pass exactly up to float roundoff.
     """
     x = as_vector(x, "x")
-    if len(x) != stack.n * stack.in_dim:
-        raise DomainError(
-            f"input must have {stack.n * stack.in_dim} entries, got {len(x)}"
-        )
     product = None
-    y = x
-    for layer in stack.layer_weights:
-        m = composite_operator(stack.pieces, layer)
-        z = m @ y
-        mask = np.where(z >= 0.0, 1.0, stack.slope)
-        layer_mat = mask[:, None] * m
+    for m, masks, _ in _realized_layers(stack, x[None, :]):
+        layer_mat = masks[0][:, None] * m
         product = layer_mat if product is None else layer_mat @ product
-        y = mask * z
     return product, product @ x
 
 
@@ -280,30 +291,25 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     if inputs is None:
         inputs = random_unit_features(stack.n, stack.in_dim, n_samples, seed)
     else:
-        inputs = [as_matrix(x, "input") for x in inputs]
         n_samples = len(inputs)
     if n_samples < 1:
         raise DomainError("need at least one sample")
+    inputs = np.array([vec(_check_features(stack, x, "input"))
+                       for x in inputs])
 
     per_layer = stack.regime().bound_per_layer
     want = set(depths)
-    # per sample: the realized end-to-end product and the output so far
-    products = None
-    outputs = [vec(x_mat) for x_mat in inputs]
-    in_size = outputs[0].size  # every product's column count
     rows = []
-    for li, layer in enumerate(stack.layer_weights[: depths[-1]], start=1):
-        m = composite_operator(stack.pieces, layer)
+    products = None  # per sample: the realized end-to-end product so far
+    layers = _realized_layers(stack.prefix(depths[-1]), inputs)
+    for li, (m, masks, outputs) in enumerate(layers, start=1):
         if products is None or products.shape[1] != m.shape[0]:
-            nxt = np.empty((n_samples, m.shape[0], in_size))
+            nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
         else:
             nxt = products  # updated in place, one sample at a time
-        for s, y in enumerate(outputs):
-            z = m @ y
-            mask = np.where(z >= 0.0, 1.0, stack.slope)
+        for s, mask in enumerate(masks):
             layer_mat = mask[:, None] * m
             nxt[s] = layer_mat if products is None else layer_mat @ products[s]
-            outputs[s] = mask * z
         products = nxt
         if li not in want:
             continue
@@ -314,7 +320,7 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
                 "bound": per_layer**li,
                 "max_sv": float(sigma[:, 0].max()),
                 "min_sv": float(sigma[:, -1].min()),
-                "entropy_bits": quantized_entropy(np.array(outputs), epsilon),
+                "entropy_bits": quantized_entropy(outputs, epsilon),
                 "n_samples": n_samples,
                 "epsilon": epsilon,
                 "seed": int(seed),
@@ -323,11 +329,16 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     return rows
 
 
-def write_decay_csv(rows, path):
-    """Write decay rows to CSV with the mandatory header."""
+def _write_csv(rows, columns, path):
+    """Write dict rows under a header of columns; floats as their repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DECAY_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                             for c in DECAY_COLUMNS])
+                             for c in columns])
+
+
+def write_decay_csv(rows, path):
+    """Write decay rows to CSV with the mandatory header."""
+    _write_csv(rows, DECAY_COLUMNS, path)

@@ -8,7 +8,6 @@ is assembled (previous output, residual add, concatenation of earlier
 outputs, or a jumping concatenation before the classifier).
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 from .decompose import layer_decompositions, piece_matrices
 from .errors import DomainError, ParseError, TrainingError
 from .graphs import Graph, normalized_adjacency
-from .propagate import prelu
+from .propagate import _write_csv, prelu
 
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
 DECOMP_SOURCES = ("none", "random", "connectivity_aware")
@@ -222,20 +221,34 @@ class TrainResult:
     seed: int
 
 
+def _sources(cfg, i):
+    """Indices into the outputs ys (ys[0] = features) that feed layer i.
+
+    Every densegcn layer after the first reads all earlier hidden outputs,
+    and so does jknet's classifier; several sources are concatenated in
+    index order.
+    """
+    L = cfg.depth
+    if (cfg.backbone == "densegcn" and i >= 2) or (
+        cfg.backbone == "jknet" and i == L
+    ):
+        return range(1, i)
+    return (i - 1,)
+
+
+def _residual(cfg, i):
+    """Whether layer i adds its input back: resgcn's hidden-to-hidden layers."""
+    return cfg.backbone == "resgcn" and 2 <= i <= cfg.depth - 1
+
+
 def _layer_dims(cfg, in_dim, n_classes):
     """(fan_in, fan_out) per layer for each backbone's wiring."""
     L, h = cfg.depth, cfg.hidden
-    dims = []
-    for i in range(1, L + 1):
-        if cfg.backbone == "densegcn":
-            fan_in = in_dim if i == 1 else (i - 1) * h
-        elif cfg.backbone == "jknet" and i == L:
-            fan_in = (L - 1) * h
-        else:
-            fan_in = in_dim if i == 1 else h
-        fan_out = n_classes if i == L else h
-        dims.append((fan_in, fan_out))
-    return dims
+    widths = [in_dim] + [h] * (L - 1)  # of ys[0] .. ys[L - 1]
+    return [
+        (sum(widths[j] for j in _sources(cfg, i)), n_classes if i == L else h)
+        for i in range(1, L + 1)
+    ]
 
 
 def _init_weights(cfg, in_dim, n_classes, rng):
@@ -274,12 +287,10 @@ def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton):
 
 def _layer_input(cfg, ys, i):
     """Assemble layer i's input from earlier outputs, per the backbone."""
-    L = cfg.depth
-    if cfg.backbone == "densegcn" and i >= 2:
-        return np.concatenate(ys[1:i], axis=1)
-    if cfg.backbone == "jknet" and i == L:
-        return np.concatenate(ys[1:L], axis=1)
-    return ys[i - 1]
+    src = _sources(cfg, i)
+    if len(src) == 1:
+        return ys[src[0]]
+    return np.concatenate([ys[j] for j in src], axis=1)
 
 
 def _forward_pass(cfg, pieces, weights, x):
@@ -295,11 +306,7 @@ def _forward_pass(cfg, pieces, weights, x):
             term = a_k @ h_in @ w_k
             z = term if z is None else z + term
         y = z if i == L else prelu(z, cfg.slope)
-        if (
-            cfg.backbone == "resgcn"
-            and 2 <= i <= L - 1
-            and y.shape == ys[i - 1].shape
-        ):
+        if _residual(cfg, i):
             y = y + ys[i - 1]
         ins.append(h_in)
         zs.append(z)
@@ -315,10 +322,17 @@ def _softmax(logits):
 
 def _loss_and_prob(cfg, weights, logits, labels, mask):
     prob = _softmax(logits)
-    idx = np.flatnonzero(mask)
-    ce = -np.mean(np.log(prob[idx, labels[idx]] + 1e-300))
     l2 = sum(float(np.sum(w * w)) for layer in weights for w in layer)
-    return ce + 0.5 * cfg.weight_decay * l2, prob
+    return _masked_ce(prob, labels, mask) + 0.5 * cfg.weight_decay * l2, prob
+
+
+def _forward_loss(cfg, pieces, weights, data):
+    """(train loss, class probabilities, ys, zs, ins) of one forward pass."""
+    ys, zs, ins = _forward_pass(cfg, pieces, weights, data.features)
+    loss, prob = _loss_and_prob(
+        cfg, weights, ys[-1], data.labels, data.masks["train"]
+    )
+    return loss, prob, ys, zs, ins
 
 
 def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
@@ -341,18 +355,12 @@ def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
 
     for i in range(L, 0, -1):
         dy = dys[i]
-        if dy is None:
-            dy = np.zeros_like(ys[i])
         if i == L:
             dz = dy
         else:
             gate = np.where(zs[i - 1] >= 0.0, 1.0, cfg.slope)
             dz = dy * gate
-            if (
-                cfg.backbone == "resgcn"
-                and 2 <= i <= L - 1
-                and ys[i].shape == ys[i - 1].shape
-            ):
+            if _residual(cfg, i):
                 add_dy(i - 1, dy)
         h_in = ins[i - 1]
         d_in = None
@@ -362,20 +370,11 @@ def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
             term = at_dz @ w_k.T
             d_in = term if d_in is None else d_in + term
         # route the input gradient back to the outputs that built the input
-        if cfg.backbone == "densegcn" and i >= 2:
-            offset = 0
-            for j in range(1, i):
-                width = ys[j].shape[1]
-                add_dy(j, d_in[:, offset : offset + width])
-                offset += width
-        elif cfg.backbone == "jknet" and i == L:
-            offset = 0
-            for j in range(1, L):
-                width = ys[j].shape[1]
-                add_dy(j, d_in[:, offset : offset + width])
-                offset += width
-        else:
-            add_dy(i - 1, d_in)
+        offset = 0
+        for j in _sources(cfg, i):
+            width = ys[j].shape[1]
+            add_dy(j, d_in[:, offset : offset + width])
+            offset += width
 
     for li, layer in enumerate(weights):
         for k, w in enumerate(layer):
@@ -425,10 +424,7 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
     # intermediate warnings on a diverging run are redundant noise
     with np.errstate(all="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            ys, zs, ins = _forward_pass(cfg, pieces, weights, data.features)
-            loss, prob = _loss_and_prob(
-                cfg, weights, ys[-1], labels, data.masks["train"]
-            )
+            loss, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"training loss became non-finite at epoch {epoch}",
@@ -470,11 +466,7 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
 
 
 def _loss_at(cfg, pieces, weights, data):
-    ys, _, _ = _forward_pass(cfg, pieces, weights, data.features)
-    loss, _ = _loss_and_prob(
-        cfg, weights, ys[-1], data.labels, data.masks["train"]
-    )
-    return loss
+    return _forward_loss(cfg, pieces, weights, data)[0]
 
 
 def _sign_pattern(zs):
@@ -497,10 +489,7 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
         cfg, data, source=source, seed=seed, p=p, discount=discount,
         with_skeleton=with_skeleton,
     )
-    ys, zs, ins = _forward_pass(cfg, pieces, weights, data.features)
-    _, prob = _loss_and_prob(
-        cfg, weights, ys[-1], data.labels, data.masks["train"]
-    )
+    _, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
     grads = _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
@@ -516,15 +505,9 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
 
         orig = w[i, j]
         w[i, j] = orig + epsilon
-        ysp, zp, _ = _forward_pass(cfg, pieces, weights, data.features)
-        lp, _ = _loss_and_prob(
-            cfg, weights, ysp[-1], data.labels, data.masks["train"]
-        )
+        lp, _, _, zp, _ = _forward_loss(cfg, pieces, weights, data)
         w[i, j] = orig - epsilon
-        ysm, zm, _ = _forward_pass(cfg, pieces, weights, data.features)
-        lm, _ = _loss_and_prob(
-            cfg, weights, ysm[-1], data.labels, data.masks["train"]
-        )
+        lm, _, _, zm, _ = _forward_loss(cfg, pieces, weights, data)
         w[i, j] = orig
 
         flipped = any(
@@ -556,11 +539,7 @@ def stable_lr(cfg, data, source="none", seed=0, p=4, start=0.5, max_halvings=20)
     loss, then returns half of that rate again as margin.
     """
     pieces, weights = build_model(cfg, data, source=source, seed=seed, p=p)
-    base = _loss_at(cfg, pieces, weights, data)
-    ys, zs, ins = _forward_pass(cfg, pieces, weights, data.features)
-    _, prob = _loss_and_prob(
-        cfg, weights, ys[-1], data.labels, data.masks["train"]
-    )
+    base, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
     grads = _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob)
     lr = float(start)
     for _ in range(max_halvings):
@@ -576,6 +555,28 @@ def stable_lr(cfg, data, source="none", seed=0, p=4, start=0.5, max_halvings=20)
 
 KSWEEP_COLUMNS = ("k", "kind", "seed", "test_acc", "test_mean", "test_std")
 
+_AGGREGATES = {"test_mean": np.mean, "test_median": np.median,
+               "test_std": np.std}
+
+
+def _seed_rows(columns, key, cfg, data, seeds, **train_kw):
+    """One cell row per seed's test accuracy, then their aggregate row.
+
+    key fills the columns that name the sweep cell; the aggregate row fills
+    whichever of test_mean, test_median and test_std are in columns.
+    """
+    rows = []
+    accs = []
+    for seed in seeds:
+        res = train(cfg, data, seed=int(seed), **train_kw)
+        accs.append(res.test_acc)
+        rows.append({**dict.fromkeys(columns, ""), **key, "kind": "cell",
+                     "seed": int(seed), "test_acc": res.test_acc})
+    stats = {c: float(f(accs)) for c, f in _AGGREGATES.items() if c in columns}
+    rows.append({**dict.fromkeys(columns, ""), **key, "kind": "aggregate",
+                 **stats})
+    return rows
+
 
 def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
             discount=False, with_skeleton=True):
@@ -587,32 +588,9 @@ def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
     for k in k_values:
         cfg_k = replace(cfg, k_schedule=tuple([k] * cfg.depth))
         src_k = "none" if (k == 1 and source == "none") else source
-        accs = []
-        for seed in seeds:
-            res = train(
-                cfg_k, data, source=src_k, seed=int(seed), p=p,
-                discount=discount, with_skeleton=with_skeleton,
-            )
-            accs.append(res.test_acc)
-            rows.append(
-                {
-                    "k": k,
-                    "kind": "cell",
-                    "seed": int(seed),
-                    "test_acc": res.test_acc,
-                    "test_mean": "",
-                    "test_std": "",
-                }
-            )
-        rows.append(
-            {
-                "k": k,
-                "kind": "aggregate",
-                "seed": "",
-                "test_acc": "",
-                "test_mean": float(np.mean(accs)),
-                "test_std": float(np.std(accs)),
-            }
+        rows += _seed_rows(
+            KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=src_k, p=p,
+            discount=discount, with_skeleton=with_skeleton,
         )
     return rows
 
@@ -646,38 +624,11 @@ def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
                 cfg_cell = replace(
                     cfg, backbone=backbone, depth=depth, k_schedule=sched
                 )
-                accs = []
-                for seed in seeds:
-                    res = train(
-                        cfg_cell, data, source=source, seed=int(seed), p=p,
-                        discount=discount, with_skeleton=with_skeleton,
-                    )
-                    accs.append(res.test_acc)
-                    rows.append(
-                        {
-                            "backbone": backbone,
-                            "depth": depth,
-                            "source": source,
-                            "kind": "cell",
-                            "seed": int(seed),
-                            "test_acc": res.test_acc,
-                            "test_mean": "",
-                            "test_median": "",
-                            "test_std": "",
-                        }
-                    )
-                rows.append(
-                    {
-                        "backbone": backbone,
-                        "depth": depth,
-                        "source": source,
-                        "kind": "aggregate",
-                        "seed": "",
-                        "test_acc": "",
-                        "test_mean": float(np.mean(accs)),
-                        "test_median": float(np.median(accs)),
-                        "test_std": float(np.std(accs)),
-                    }
+                key = {"backbone": backbone, "depth": depth, "source": source}
+                rows += _seed_rows(
+                    DEPTHSWEEP_COLUMNS, key, cfg_cell, data, seeds,
+                    source=source, p=p, discount=discount,
+                    with_skeleton=with_skeleton,
                 )
     return rows
 
@@ -686,27 +637,12 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
 
 
 def write_history_csv(result, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_COLUMNS)
-        for e in range(result.epochs_run):
-            writer.writerow(
-                [
-                    e + 1,
-                    repr(result.train_loss[e]),
-                    repr(result.train_acc[e]),
-                    repr(result.val_loss[e]),
-                    repr(result.val_acc[e]),
-                ]
-            )
+    series = zip(result.train_loss, result.train_acc, result.val_loss,
+                 result.val_acc)
+    rows = [dict(zip(HISTORY_COLUMNS, (epoch, *values)))
+            for epoch, values in enumerate(series, start=1)]
+    _write_csv(rows, HISTORY_COLUMNS, path)
 
 
 def write_rows_csv(rows, columns, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c]
-                 for c in columns]
-            )
+    _write_csv(rows, columns, path)

@@ -261,6 +261,25 @@ def test_decay_curve_preserve_stack_keeps_entropy():
         assert row["min_sv"] >= 1.2 ** row["depth"] - 1e-9
 
 
+def test_decay_curve_rejects_misshaped_inputs():
+    # a transposed (d, n) input vectorizes to the right length, but it is
+    # not a feature matrix of the stack; forward rejects it the same way
+    rng = np.random.default_rng(22)
+    n, d = 5, 3
+    stack = gcn_stack(rng.normal(size=(n, n)), [rng.normal(size=(d, d))] * 2)
+    good = rng.normal(size=(n, d))
+    with pytest.raises(DomainError):
+        forward(stack, good.T)
+    with pytest.raises(DomainError):
+        decay_curve(stack, [1, 2], inputs=[good, good.T])
+    for short in (np.ones(n * d - 1), np.ones(n * d + 1)):
+        with pytest.raises(DomainError):
+            activation_masks(stack, short)
+        with pytest.raises(DomainError):
+            linearized_map(stack, short)
+    assert len(decay_curve(stack, [1, 2], inputs=[good])) == 2
+
+
 def test_decay_curve_validates_depths():
     stack = gcn_stack(np.eye(2), [np.eye(2)] * 3)
     for bad in ([], [2, 1], [0], [4], [2, 2]):

@@ -274,6 +274,66 @@ def test_gradients_match_finite_differences():
         finite_diff_gradcheck(_cfg(), _MIXED, epsilon=1e-2)
 
 
+def _reference_depth5(backbone, pieces, weights, x, slope):
+    """Depth-5 outputs and layer inputs, each backbone's wiring spelled out."""
+
+    def layer(i, h):
+        return sum(a @ h @ w for a, w in zip(pieces[i - 1], weights[i - 1]))
+
+    def act(z):
+        return np.maximum(z, slope * z)
+
+    def cat(*hs):
+        return np.concatenate(hs, axis=1)
+
+    y1 = act(layer(1, x))
+    if backbone == "resgcn":
+        y2 = act(layer(2, y1)) + y1
+        y3 = act(layer(3, y2)) + y2
+        y4 = act(layer(4, y3)) + y3
+        ins = [x, y1, y2, y3, y4]
+    elif backbone == "densegcn":
+        y2 = act(layer(2, y1))
+        y3 = act(layer(3, cat(y1, y2)))
+        y4 = act(layer(4, cat(y1, y2, y3)))
+        ins = [x, y1, cat(y1, y2), cat(y1, y2, y3), cat(y1, y2, y3, y4)]
+    else:  # gcn, and jknet up to its jumping classifier
+        y2 = act(layer(2, y1))
+        y3 = act(layer(3, y2))
+        y4 = act(layer(4, y3))
+        last = cat(y1, y2, y3, y4) if backbone == "jknet" else y4
+        ins = [x, y1, y2, y3, last]
+    return [x, y1, y2, y3, y4, layer(5, ins[4])], ins
+
+
+def test_forward_wiring_matches_spelled_out_depth5():
+    """Each backbone's layer inputs, fan-ins and outputs at depth 5."""
+    from degnn.train import _forward_pass, _layer_dims
+
+    h, in_dim, n_classes = 4, 5, 3
+    fan_ins = {
+        "gcn": [in_dim, h, h, h, h],
+        "resgcn": [in_dim, h, h, h, h],
+        "densegcn": [in_dim, h, 2 * h, 3 * h, 4 * h],
+        "jknet": [in_dim, h, h, h, 4 * h],
+    }
+    for backbone, fans in fan_ins.items():
+        cfg = ModelConfig(backbone=backbone, depth=5, hidden=h,
+                          k_schedule=(2, 2, 2, 2, 2))
+        dims = _layer_dims(cfg, in_dim, n_classes)
+        assert dims == list(zip(fans, [h, h, h, h, n_classes]))
+        pieces, weights = build_model(cfg, _MIXED, source="random", seed=2,
+                                      p=4)
+        assert [w[0].shape for w in weights] == dims
+        ys, zs, ins = _forward_pass(cfg, pieces, weights, _MIXED.features)
+        ref_ys, ref_ins = _reference_depth5(backbone, pieces, weights,
+                                            _MIXED.features, cfg.slope)
+        assert len(ys) == 6 and len(zs) == 5 and len(ins) == 5
+        for got, want in zip(ys + ins, ref_ys + ref_ins):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(zs[-1], ys[-1])
+
+
 def test_k_sweep_rows_and_aggregates():
     cfg = _cfg()
     rows = k_sweep(cfg, _MIXED, k_values=[1, 2], seeds=[0, 1], p=4)
@@ -285,6 +345,8 @@ def test_k_sweep_rows_and_aggregates():
     assert len(cells) == 2 and len(agg) == 1
     mean = np.mean([r["test_acc"] for r in cells])
     assert abs(agg[0]["test_mean"] - mean) < 1e-15
+    std = np.std([r["test_acc"] for r in cells])
+    assert abs(agg[0]["test_std"] - std) < 1e-15
     with pytest.raises(DomainError):
         k_sweep(cfg, _MIXED, k_values=[], seeds=[0])
     with pytest.raises(DomainError):
@@ -305,6 +367,13 @@ def test_depth_sweep_rows_and_aggregates():
              if r["kind"] == "cell" and r["source"] == "none"]
     target = [r for r in agg if r["source"] == "none"][0]
     assert abs(target["test_median"] - np.median(cells)) < 1e-15
+    for row in agg:
+        accs = [r["test_acc"] for r in rows
+                if r["kind"] == "cell" and r["source"] == row["source"]]
+        assert row["seed"] == "" and row["test_acc"] == ""
+        assert abs(row["test_mean"] - np.mean(accs)) < 1e-15
+        assert abs(row["test_median"] - np.median(accs)) < 1e-15
+        assert abs(row["test_std"] - np.std(accs)) < 1e-15
     with pytest.raises(DomainError):
         depth_sweep(cfg, _MIXED, depths=[2], backbones=["mlp"],
                     sources=["none"], seeds=[0])
