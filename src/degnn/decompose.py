@@ -122,7 +122,8 @@ def random_spanning_forest(g, seed):
     return _sorted_triples(chosen)
 
 
-def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True):
+def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
+                                 partitions=None):
     """Decompose g into k pieces that all contain one connecting skeleton.
 
     Pipeline: partition the nodes into p parts; drop the cut edges to get
@@ -135,11 +136,22 @@ def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True):
 
     with_skeleton=False keeps the dealing order but plants no forest, so
     the pieces partition the edge set exactly.
+
+    partitions, when given, is a dict that the caller shares between calls
+    on the same graphs, such as the cells of one sweep. It maps
+    (g, p, seed) to the partition drawn for that key, keyed by the graph
+    object itself, so each key is partitioned once. The partition does not
+    depend on k or with_skeleton.
     """
     k = _check_k(k)
     ss = np.random.SeedSequence(seed)
     seed_part, seed_forest = ss.spawn(2)
-    part = multilevel_partition(g, p, seed=seed_part)
+    if partitions is None:
+        partitions = {}
+    key = (g, p, seed)
+    if key not in partitions:
+        partitions[key] = multilevel_partition(g, p, seed=seed_part)
+    part = partitions[key]
     gm = merged_graph(g, part)
     if with_skeleton:
         skeleton = random_spanning_forest(gm, seed_forest)
@@ -296,8 +308,13 @@ def piece_matrices(g, d, normalization="global", self_loops=True, discount=False
     return out
 
 
-def layer_decompositions(g, k_schedule, strategy, p, seed, with_skeleton=True):
-    """One independent decomposition per layer, layer i drawn at seed + i."""
+def layer_decompositions(g, k_schedule, strategy, p, seed, with_skeleton=True,
+                         partitions=None):
+    """One independent decomposition per layer, layer i drawn at seed + i.
+
+    partitions is the optional partition cache of
+    connectivity_aware_decompose; the random strategy does not use it.
+    """
     if strategy not in ("random", "connectivity_aware"):
         raise DomainError(f"unknown decomposition strategy {strategy!r}")
     out = []
@@ -308,7 +325,8 @@ def layer_decompositions(g, k_schedule, strategy, p, seed, with_skeleton=True):
         else:
             out.append(
                 connectivity_aware_decompose(
-                    g, p, k_i, layer_seed, with_skeleton=with_skeleton
+                    g, p, k_i, layer_seed, with_skeleton=with_skeleton,
+                    partitions=partitions,
                 )
             )
     return out

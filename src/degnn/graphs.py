@@ -3,8 +3,11 @@
 The Graph type is the package currency for every structural operation. Edges
 are canonical (i, j) pairs with i < j and positive finite weights; both a
 sorted edge list and a per-node adjacency view are kept so dense-matrix code
-and the partition/decomposition passes (which must scale to ~1e6 edges) can
-each use the natural representation.
+and the partition/decomposition passes can each use the natural
+representation. Measured scale: one multilevel_partition of a 10-block
+planted graph with n=20,000 and m=88,000 into p=16 parts takes 24-34 s of
+CPU and peaks at about 180 MB RSS, on one core of a shared 2-core Intel
+Xeon host.
 """
 
 import warnings

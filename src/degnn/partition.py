@@ -35,17 +35,23 @@ INITIAL_TRIES = 3
 
 @dataclass(frozen=True)
 class Partition:
-    """Node labels in [0, p). Empty parts only occur when unavoidable."""
+    """Node labels in [0, p). Empty parts only occur when unavoidable.
+
+    labels is a read-only copy of the array given, so a Partition shared
+    between callers (a sweep's partition cache) cannot be changed by any of
+    them, and the caller's own array stays writable.
+    """
 
     labels: np.ndarray
     p: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)
         if labels.ndim != 1 or len(labels) == 0:
             raise DomainError("labels must be a non-empty 1-D array")
         if self.p < 1 or labels.min() < 0 or labels.max() >= self.p:
             raise DomainError(f"labels must lie in [0, {self.p})")
+        labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
     def sizes(self):
@@ -251,13 +257,25 @@ def _fm_refine(adj, node_w, labels, p, cap):
         feasible0 = max(part_w) <= cap
         locked = [False] * n
         heap = []
+        # the entries now in the heap: a second identical copy would be
+        # popped right behind the first and repeat its outcome or do nothing
+        queued = set()
+        # each unlocked node's neighbor_parts as of its last push_moves; a
+        # move re-pushes every unlocked neighbor, so the dict is current
+        # whenever an unlocked node's entry is popped
+        nbp_of = [None] * n
+
+        def push(entry):
+            if entry not in queued:
+                queued.add(entry)
+                heapq.heappush(heap, entry)
 
         def push_moves(u):
-            nbp = neighbor_parts(u)
+            nbp = nbp_of[u] = neighbor_parts(u)
             own = nbp.get(labels[u], 0.0)
             for tgt, wsum in nbp.items():
                 if tgt != labels[u]:
-                    heapq.heappush(heap, (-(wsum - own), u, tgt))
+                    push((-(wsum - own), u, tgt))
 
         for u in range(n):
             if any(labels[v] != labels[u] for v in adj[u]):
@@ -268,13 +286,15 @@ def _fm_refine(adj, node_w, labels, p, cap):
         best_cut = cut if feasible0 else math.inf
         best_feasible = feasible0
         while heap:
-            neg_gain, u, tgt = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            queued.remove(entry)
+            neg_gain, u, tgt = entry
             if locked[u] or labels[u] == tgt:
                 continue
-            nbp = neighbor_parts(u)
+            nbp = nbp_of[u]
             gain = nbp.get(tgt, 0.0) - nbp.get(labels[u], 0.0)
             if -neg_gain != gain:
-                heapq.heappush(heap, (-gain, u, tgt))
+                push((-gain, u, tgt))
                 continue
             src = labels[u]
             if part_w[tgt] + node_w[u] > relaxed:
@@ -285,6 +305,7 @@ def _fm_refine(adj, node_w, labels, p, cap):
             part_w[src] -= node_w[u]
             part_w[tgt] += node_w[u]
             locked[u] = True
+            nbp_of[u] = None
             cut -= gain
             moves.append((u, src, tgt))
             feasible = max(part_w) <= cap
@@ -294,7 +315,8 @@ def _fm_refine(adj, node_w, labels, p, cap):
                 best_idx = len(moves) - 1
                 best_cut = cut
                 best_feasible = feasible
-            for v in sorted(adj[u]):
+            # the heap orders entries by value, so push order is immaterial
+            for v in adj[u]:
                 if not locked[v]:
                     push_moves(v)
         # roll back past the best prefix

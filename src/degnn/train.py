@@ -264,7 +264,8 @@ def _init_weights(cfg, in_dim, n_classes, rng):
     return weights
 
 
-def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton):
+def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
+                  partitions):
     """Per-layer piece propagation matrices for the requested decomposition."""
     if source not in DECOMP_SOURCES:
         raise DomainError(f"unknown decomposition source {source!r}")
@@ -277,7 +278,8 @@ def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton):
         base = normalized_adjacency(g)
         return [[base] for _ in range(cfg.depth)]
     decs = layer_decompositions(
-        g, cfg.k_schedule, source, p=p, seed=seed, with_skeleton=with_skeleton
+        g, cfg.k_schedule, source, p=p, seed=seed, with_skeleton=with_skeleton,
+        partitions=partitions,
     )
     return [
         piece_matrices(g, d, normalization="global", discount=discount)
@@ -393,26 +395,33 @@ def _masked_ce(prob, labels, mask):
 
 
 def build_model(cfg, data, source="none", seed=0, p=4, discount=False,
-                with_skeleton=True):
-    """(per-layer pieces, init weights) for a config on a dataset."""
+                with_skeleton=True, partitions=None):
+    """(per-layer pieces, init weights) for a config on a dataset.
+
+    partitions is the optional partition cache that
+    connectivity_aware_decompose shares across calls on data.graph.
+    """
     n_classes = int(data.labels.max()) + 1
     in_dim = data.features.shape[1]
-    pieces = _build_pieces(cfg, data, source, seed, p, discount, with_skeleton)
+    pieces = _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
+                           partitions)
     rng = np.random.default_rng(seed)
     weights = _init_weights(cfg, in_dim, n_classes, rng)
     return pieces, weights
 
 
 def train(cfg, data, source="none", seed=0, p=4, discount=False,
-          with_skeleton=True):
+          with_skeleton=True, partitions=None):
     """Full-batch gradient descent with early stopping on validation accuracy.
 
     Deterministic under (cfg, data, source, seed). Raises TrainingError
     carrying the last finite epoch if the loss leaves the finite range.
+    partitions is build_model's optional partition cache; it changes no
+    result, only how often data.graph is partitioned.
     """
     pieces, weights = build_model(
         cfg, data, source=source, seed=seed, p=p, discount=discount,
-        with_skeleton=with_skeleton,
+        with_skeleton=with_skeleton, partitions=partitions,
     )
     labels = data.labels
     hist = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
@@ -584,6 +593,8 @@ def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
     k_values = [int(k) for k in k_values]
     if not k_values or min(k_values) < 1:
         raise DomainError("k values must be >= 1")
+    # a partition depends on (graph, p, layer seed) only, so every k shares it
+    partitions = {}
     rows = []
     for k in k_values:
         cfg_k = replace(cfg, k_schedule=tuple([k] * cfg.depth))
@@ -591,6 +602,7 @@ def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
         rows += _seed_rows(
             KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=src_k, p=p,
             discount=discount, with_skeleton=with_skeleton,
+            partitions=partitions,
         )
     return rows
 
@@ -611,6 +623,9 @@ DEPTHSWEEP_COLUMNS = (
 def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
                 discount=False, with_skeleton=True):
     """Test accuracy across depth, backbone, and decomposition source."""
+    # a partition depends on (graph, p, layer seed) only, so cells that
+    # share a layer seed share it, whatever their depth or backbone
+    partitions = {}
     rows = []
     for backbone in backbones:
         if backbone not in BACKBONES:
@@ -628,7 +643,7 @@ def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
                 rows += _seed_rows(
                     DEPTHSWEEP_COLUMNS, key, cfg_cell, data, seeds,
                     source=source, p=p, discount=discount,
-                    with_skeleton=with_skeleton,
+                    with_skeleton=with_skeleton, partitions=partitions,
                 )
     return rows
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from degnn._kernels import active_lane
 from degnn.cli import main
 from degnn.decompose import load_decomposition
 from degnn.partition import import_partition
@@ -61,6 +62,9 @@ def test_partition_writes_labels_stats_manifest(tmp_path):
     assert len(manifest["input_hashes"][str(edges)]) == 64
     assert manifest["version"] == "0.1.0"
     assert manifest["wall_clock_seconds"] >= 0.0
+    assert manifest["svd_lane"] in ("compiled", "python")
+    assert manifest["svd_lane"] == active_lane()
+    assert manifest["numpy_version"] == np.__version__
 
 
 def test_partition_is_deterministic(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from degnn.partition import (
     partition_stats,
     random_balanced_partition,
 )
+from degnn.train import SBMSpec, generate_sbm
 from oracles import best_balanced_bipartition_cut
 
 
@@ -30,6 +33,20 @@ def test_partition_container():
     assert part.imbalance() == 1.0
     with pytest.raises(DomainError):
         Partition(labels=np.array([0, 2]), p=2)
+
+
+def test_partition_labels_are_read_only():
+    own = np.array([0, 1, 1, 0])
+    part = Partition(labels=own, p=2)
+    with pytest.raises(ValueError):
+        part.labels[0] = 1
+    # the caller's array stays writable and is not shared with the Partition
+    own[0] = 1
+    assert part.labels.tolist() == [0, 1, 1, 0]
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    shared = multilevel_partition(g, 2, seed=0)
+    with pytest.raises(ValueError):
+        shared.labels[:] = 0
 
 
 def test_cut_accounting():
@@ -142,3 +159,110 @@ def test_import_partition(tmp_path):
     path.write_text("0\n1\n")
     with pytest.raises(ParseError):
         import_partition(path, n=4)
+
+
+# sha256 of multilevel_partition(...).labels.tobytes(), recorded before the
+# FM inner loop was reworked; any change to the partitioner's arithmetic or
+# tie-breaks shows up here first. The graphs and the partitioner's seeds come
+# from numpy's Generator streams (recorded with numpy 2.4), which numpy does
+# not promise to keep across releases.
+
+def _sweep_sbm_cases():
+    # the benchmark's depth_sweep graph: 8 layer seeds at p=16, each drawn
+    # the way connectivity_aware_decompose derives its partition seed
+    data = generate_sbm(SBMSpec(n=150, b=4, p_in=0.21, p_out=0.013, d=8,
+                                noise=0.5), seed=7)
+    for layer_seed in range(8):
+        seed = np.random.SeedSequence(layer_seed).spawn(2)[0]
+        yield f"sbm150_p16_layer{layer_seed}", data.graph, 16, seed
+
+
+def _planted_cases():
+    # 2,000 nodes in 10 planted blocks, about 8.8k edges
+    rng = np.random.default_rng(2000)
+    n, blocks = 2000, 10
+    block_of = np.arange(n) % blocks
+    members = [np.flatnonzero(block_of == b) for b in range(blocks)]
+    edges = set()
+    while len(edges) < 8000:
+        a, c = rng.choice(members[int(rng.integers(0, blocks))], size=2)
+        if a != c:
+            edges.add((int(min(a, c)), int(max(a, c))))
+    while len(edges) < 8800:
+        a, c = (int(v) for v in rng.integers(0, n, size=2))
+        if block_of[a] != block_of[c]:
+            edges.add((min(a, c), max(a, c)))
+    yield "planted2000_p16", Graph(n, sorted(edges)), 16, 3
+
+
+def _weighted_cases():
+    rng = np.random.default_rng(61)
+    g = _random_graph(300, 900, rng)
+    weights = rng.uniform(0.5, 2.0, size=g.m)
+    g = Graph(g.n, [(i, j, float(w)) for (i, j), w in zip(g.edges(), weights)])
+    for p in (2, 5, 8):
+        yield f"weighted300_p{p}", g, p, 11
+
+
+def _disconnected_cases():
+    # nine components (sizes 180, 60, 25, 9, 4, 3, 3, 2, 1) onto 5 parts:
+    # the large ones get split, the small ones packed whole
+    rng = np.random.default_rng(9)
+    edges = set()
+    base = 0
+    for size in (180, 60, 25, 9, 4, 3, 3, 2, 1):
+        # a path keeps the component connected; chords triple its edges
+        edges |= {(base + i, base + i + 1) for i in range(size - 1)}
+        for _ in range(2 * (size - 1)):
+            i, j = sorted(int(v) for v in rng.integers(0, size, size=2))
+            if i != j:
+                edges.add((base + i, base + j))
+        base += size
+    edges = sorted(edges)
+    g = Graph(base, edges)
+    assert int(connected_components(g).max()) + 1 == 9
+    yield "disconnected9_p5", g, 5, 4
+
+
+PINNED_LABELS = {
+    "sbm150_p16_layer0":
+        "4b06ee6191a45ae2a9e94746a0ecba06e049b6f774a7f8f4b3aa7c927d1aeca7",
+    "sbm150_p16_layer1":
+        "3aad07e47b20554814a293c92c6ff6a5b5dbf96a2af9248eff7f33fa00c51563",
+    "sbm150_p16_layer2":
+        "59916eccc93615a393da03882e133a7b8a8ba07c98f80706e841a7324a303813",
+    "sbm150_p16_layer3":
+        "16d8e3e057191623805aacafff3aab33c20c9e331a34443e3e6af17c2f20f0cb",
+    "sbm150_p16_layer4":
+        "42fd7cca1fa57c6fe655abb58a5ef90d7788dd88799bab9eb18c5f92cac2850d",
+    "sbm150_p16_layer5":
+        "0721367c877a58a28c72a2c18b9456700ace16fb9f1bf44109fc7efa0b63a236",
+    "sbm150_p16_layer6":
+        "9d6519070014f519ccb84895d38b6e8989059314e56eb26003d4ee6df429b896",
+    "sbm150_p16_layer7":
+        "9662ae1c33f91d280e996dcf67ac2d847e0e1132195c464d2868227652e7f03a",
+    "planted2000_p16":
+        "3297ff14f141b8b82747c7f827c35036f980041c93b3b08d072c394a59773d49",
+    "weighted300_p2":
+        "2a3d7c5b3dda510ca48335c5513b8e6298ac9a9525528b2f68d97fb655ad0fbf",
+    "weighted300_p5":
+        "6c03315cddcd2e2443389d47daa0a7264e0f2113dbc44434a131eb349573e039",
+    "weighted300_p8":
+        "ec9148789d5b79be59287edc1b4ce3efac62e85762687e4b29cc208a9e3d3833",
+    "disconnected9_p5":
+        "12560a2b424b3a42163ac2721faffa2c979de84d2767a1b8e0fbb4e40248cf62",
+}
+
+
+def _pinned_cases():
+    for gen in (_sweep_sbm_cases, _planted_cases, _weighted_cases,
+                _disconnected_cases):
+        yield from gen()
+
+
+def test_labels_pinned_across_rewrites():
+    got = {}
+    for name, g, p, seed in _pinned_cases():
+        part = multilevel_partition(g, p, seed=seed)
+        got[name] = hashlib.sha256(part.labels.tobytes()).hexdigest()
+    assert got == PINNED_LABELS

@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+import degnn.decompose
+import degnn.train
 from degnn.errors import DomainError, ParseError, TrainingError
 from degnn.graphs import connected_components
 from degnn.train import (
@@ -377,6 +379,59 @@ def test_depth_sweep_rows_and_aggregates():
     with pytest.raises(DomainError):
         depth_sweep(cfg, _MIXED, depths=[2], backbones=["mlp"],
                     sources=["none"], seeds=[0])
+
+
+def _count_partitions(monkeypatch):
+    """Record the (p, seed) of every real multilevel_partition call."""
+    calls = []
+    real = degnn.decompose.multilevel_partition
+
+    def counted(g, p, seed, **kwargs):
+        calls.append((g, p, tuple(seed.spawn_key), seed.entropy))
+        return real(g, p, seed, **kwargs)
+
+    monkeypatch.setattr(degnn.decompose, "multilevel_partition", counted)
+    return calls
+
+
+def _sweep_without_cache(monkeypatch, sweep):
+    """Run sweep with every train() call partitioning for itself."""
+    real = degnn.train.train
+
+    def uncached(*args, partitions=None, **kwargs):
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(degnn.train, "train", uncached)
+        return sweep()
+
+
+def test_sweeps_partition_each_key_once(monkeypatch):
+    cfg = _cfg(max_epochs=30, patience=30)
+    calls = _count_partitions(monkeypatch)
+
+    def depths():
+        return depth_sweep(cfg, _MIXED, depths=[2, 6], backbones=["gcn"],
+                           sources=["none", "connectivity_aware"],
+                           seeds=[0, 1, 2], k=4, p=16)
+
+    rows = depths()
+    assert len(calls) == 8
+    keys = set(calls)
+    calls.clear()
+    assert _sweep_without_cache(monkeypatch, depths) == rows
+    assert len(calls) == 24 and set(calls) == keys
+    calls.clear()
+
+    def ks():
+        return k_sweep(cfg, _MIXED, k_values=[1, 2, 3], seeds=[0, 1], p=4)
+
+    rows = ks()
+    assert len(calls) == 3
+    keys = set(calls)
+    calls.clear()
+    assert _sweep_without_cache(monkeypatch, ks) == rows
+    assert len(calls) == 12 and set(calls) == keys
 
 
 def test_history_csv_round_trip(tmp_path):

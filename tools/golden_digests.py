@@ -1,0 +1,122 @@
+"""Golden output digests: run a fixed, seeded set of CLI commands on a tree.
+
+    python3 tools/golden_digests.py [TREE]
+
+TREE is the root of a source checkout (default: the checkout holding this
+script); degnn is imported from TREE/src. Every command runs in a fresh
+process, one at a time, in a temporary directory, with every DEGNN_*
+variable removed from the environment (click would read unset options from
+them). The script prints one `sha256  artifact` line per output file, sorted
+by path. manifest.json files are skipped: they carry wall-clock times.
+
+Two trees whose outputs are byte-identical print identical lines, so
+
+    diff <(python3 tools/golden_digests.py A) <(python3 tools/golden_digests.py B)
+
+is the byte-identity check. The set covers decay, verify, train for every
+backbone (vanilla and random-decomposed), partition, connectivity-aware
+decompose, and the k and depth sweeps with both the random and the
+connectivity-aware decomposition. It takes a few minutes on two cores.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BACKBONES = ("gcn", "res", "dense", "jk")
+
+
+def _cycle_graph(path):
+    """A 40-cycle plus 80 distinct random chords: 40 nodes, 120 edges."""
+    rng = random.Random(2024)
+    edges = {(i, i + 1) for i in range(39)} | {(0, 39)}
+    while len(edges) < 120:
+        i, j = sorted(rng.sample(range(40), 2))
+        edges.add((i, j))
+    path.write_text("".join(f"{i} {j}\n" for i, j in sorted(edges)))
+
+
+def _planted_graph(path, n=600, blocks=6):
+    """Planted partition: about 8 edges a node inside blocks, 0.8 across."""
+    rng = random.Random(600)
+    edges = set()
+    while len(edges) < n * 4:
+        b = rng.randrange(blocks)
+        i, j = sorted(rng.sample(range(b, n, blocks), 2))
+        edges.add((i, j))
+    while len(edges) < n * 4 + int(n * 0.4):
+        i, j = sorted(rng.sample(range(n), 2))
+        if i % blocks != j % blocks:
+            edges.add((i, j))
+    path.write_text("".join(f"{i} {j}\n" for i, j in sorted(edges)))
+
+
+def commands(work):
+    """(name, argv) for every command of the golden set."""
+    cycle = work / "cycle_edges.txt"
+    planted = work / "planted_edges.txt"
+    _cycle_graph(cycle)
+    _planted_graph(planted)
+    cmds = [
+        ("decay", ["decay", "--edges", str(cycle), "--depths", "1..6",
+                   "--samples", "4", "--dim", "3"]),
+        ("verify", ["verify", "--trials", "40"]),
+        ("partition", ["partition", "--edges", str(planted), "--p", "16",
+                       "--seed", "3"]),
+        ("decompose_ca", ["decompose", "--edges", str(planted),
+                          "--strategy", "ca", "--k", "4", "--p", "16",
+                          "--seed", "3"]),
+    ]
+    for backbone in BACKBONES:
+        cmds.append((f"train_{backbone}_dec",
+                     ["train", "--backbone", backbone, "--depth", "5",
+                      "--k", "3", "--decompose", "random"]))
+        cmds.append((f"train_{backbone}_van",
+                     ["train", "--backbone", backbone, "--depth", "4"]))
+    cmds += [
+        ("ksweep", ["ksweep", "--k", "1..3", "--depth", "3"]),
+        ("ksweep_ca", ["ksweep", "--k", "1..3", "--depth", "2",
+                       "--seeds", "0..1", "--decompose", "ca", "--p", "16"]),
+        ("depthsweep", ["depthsweep", "--depths", "2,4",
+                        "--backbones", "gcn,dense,res,jk",
+                        "--decompose", "none,random"]),
+        ("depthsweep_ca", ["depthsweep", "--depths", "2,6",
+                           "--decompose", "none,ca", "--seeds", "0..2",
+                           "--p", "16", "--nodes", "150", "--p-in", "0.21",
+                           "--p-out", "0.013"]),
+    ]
+    return cmds
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv):
+    tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
+    src = (tree / "src").resolve()
+    if not (src / "degnn").is_dir():
+        sys.exit(f"golden_digests: no degnn package under {src}")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DEGNN_")}
+    env["PYTHONPATH"] = str(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        lines = []
+        for name, args in commands(work):
+            out = work / name
+            subprocess.run(
+                [sys.executable, "-m", "degnn.cli", *args, "--out", str(out)],
+                env=env, check=True, stdout=subprocess.DEVNULL, cwd=tmp,
+            )
+            for path in sorted(out.rglob("*")):
+                if path.is_file() and path.name != "manifest.json":
+                    lines.append(f"{_sha256(path)}  {path.relative_to(work)}")
+    print("\n".join(sorted(lines, key=lambda line: line.split()[1])))
+
+
+if __name__ == "__main__":
+    main(sys.argv)
