@@ -1,34 +1,10 @@
-"""Sweep kernel selection: compiled extension when present, numpy otherwise.
+"""The one-sided Jacobi sweep kernels that svd() drives.
 
-Both lanes implement the identical cyclic one-sided Jacobi sweep; the
-extension is an optional build, so importing this package never fails for
-lack of a compiler. degnn.spectral picks up `jacobi_sweep` from here; the
-benchmark and the lane-equivalence tests grab both via sweep_implementations.
-python_stack_sweep is the numpy lane's sweep over a whole stack of matrices at
-once (singular values only); svd() uses it for stacks on the python lane,
-where one numpy call per pair for the whole stack beats one Python-level
-step per pair and matrix.
+jacobi_sweep runs one sweep on a single matrix, accumulating V when asked.
+jacobi_sweep_stack runs the same sweep on a whole stack of matrices at once,
+singular values only: one numpy call per pair serves every matrix, where the
+2-D kernel pays one Python-level step per pair and matrix. svd() looks both
+names up here at call time.
 """
 
-from degnn._kernels._jacobi_np import jacobi_sweep as python_sweep
-from degnn._kernels._jacobi_np import jacobi_sweep_stack as python_stack_sweep
-
-try:
-    from degnn._kernels._jacobi_cy import jacobi_sweep as compiled_sweep
-except ImportError:
-    compiled_sweep = None
-
-jacobi_sweep = compiled_sweep if compiled_sweep is not None else python_sweep
-
-
-def active_lane():
-    """Which sweep implementation svd() will use: 'compiled' or 'python'."""
-    return "compiled" if compiled_sweep is not None else "python"
-
-
-def sweep_implementations():
-    """Every available sweep lane, keyed by name."""
-    impls = {"python": python_sweep}
-    if compiled_sweep is not None:
-        impls["compiled"] = compiled_sweep
-    return impls
+from degnn._kernels._jacobi_np import jacobi_sweep, jacobi_sweep_stack

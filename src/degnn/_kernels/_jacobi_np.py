@@ -1,8 +1,8 @@
-"""Pure numpy lane for the one-sided Jacobi sweep.
+"""The one-sided Jacobi sweep, in numpy.
 
-Semantics must stay in lockstep with _jacobi_cy.pyx: one cyclic pass over
-all column pairs, rotating whenever the pair is not yet orthogonal relative
-to its own scale. The driver in degnn.spectral owns convergence.
+A sweep is one cyclic pass over all column pairs, rotating whenever the pair
+is not yet orthogonal relative to its own scale. The driver in
+degnn.spectral owns convergence.
 
 jacobi_sweep handles one matrix. jacobi_sweep_stack runs the same sweep on a
 stack of equally shaped matrices at once, vectorized over the stack axis, for

@@ -19,7 +19,6 @@ import click
 import numpy as np
 
 from . import __version__
-from ._kernels import active_lane
 from .decompose import (
     connectivity_aware_decompose,
     decomposition_stats,
@@ -86,9 +85,9 @@ _BACKBONE_ALIASES = {
 class RunManifest:
     """Record of one invocation, written next to every output artifact.
 
-    svd_lane and numpy_version name the install: the compiled and python
-    SVD lanes agree only to roundoff, so two installs can give different
-    bits under the same flags.
+    numpy_version names the install: the SVD sweeps and every product run
+    through numpy and its BLAS, so two installs can give different bits
+    under the same flags.
     """
 
     subcommand: str
@@ -97,7 +96,6 @@ class RunManifest:
     input_hashes: dict
     version: str
     wall_clock_seconds: float
-    svd_lane: str
     numpy_version: str
     created: str = field(default="")
 
@@ -129,7 +127,6 @@ def _emit_manifest(out_dir, subcommand, flags, seed, inputs, started):
         input_hashes={str(p): _sha256(p) for p in inputs},
         version=__version__,
         wall_clock_seconds=time.time() - started,
-        svd_lane=active_lane(),
         numpy_version=np.__version__,
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )

@@ -179,7 +179,7 @@ def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSplit:
     """Additive split of a square matrix along its singular directions.
 

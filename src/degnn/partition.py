@@ -33,7 +33,7 @@ MAX_FM_PASSES = 12
 INITIAL_TRIES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Node labels in [0, p). Empty parts only occur when unavoidable.
 

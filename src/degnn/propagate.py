@@ -26,7 +26,7 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerStack:
     """L layers of piece matrices with per-piece, per-layer weights.
 
@@ -245,12 +245,18 @@ def random_unit_features(n, d, n_samples, seed):
 
 def weights_with_top_singular(shape, sigma, seed):
     """Random weight matrix rescaled so its largest singular value is sigma."""
+    sigma = float(sigma)
+    # a negative scale flips the sign, leaving the top singular value |sigma|
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise DomainError(
+            f"a top singular value must be finite and >= 0, got {sigma}"
+        )
     rng = np.random.default_rng(seed)
     w = rng.normal(size=shape)
     hi, _ = singular_extremes(w)
     if hi == 0.0:
         raise DomainError("degenerate random draw cannot be rescaled")
-    return w * (float(sigma) / hi)
+    return w * (sigma / hi)
 
 
 DECAY_COLUMNS = (
@@ -279,9 +285,9 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     end-to-end maps go to svd() as one stack (singular values only). The
     products live in one (n_samples, rows, cols) array, updated in place
     while the feature width stays the same. Peak memory is about two such
-    arrays: on the python lane svd() sweeps a working copy of the whole
-    stack (tracemalloc peak: 2.5 stacks for 16 products of 80 x 80), and a
-    layer that changes the width builds its products in a new array.
+    arrays: svd() sweeps a working copy of the whole stack (tracemalloc
+    peak: 2.5 stacks for 16 products of 80 x 80), and a layer that changes
+    the width builds its products in a new array.
     """
     depths = [int(d) for d in depths]
     if not depths or depths != sorted(set(depths)):

@@ -1,10 +1,10 @@
 """Singular value machinery and information-flow regime certificates.
 
-svd() is a one-sided Jacobi implementation (hot sweep lives in degnn._kernels
-with a compiled and a pure lane). numpy's own factorizations are deliberately
-not used here: the verification suite cross-checks this routine against an
-independent characteristic-polynomial oracle, so the certified path must be
-this code and nothing else.
+svd() is a one-sided Jacobi implementation (the sweeps live in
+degnn._kernels). numpy's own factorizations are deliberately not used here:
+the verification suite cross-checks this routine against an independent
+characteristic-polynomial oracle, so the certified path must be this code
+and nothing else.
 
 The regime classifiers turn singular-value extremes into one of three labels:
   decay          per-layer contraction < 1, end-to-end map shrinks to zero
@@ -35,7 +35,7 @@ REL_ORTH_TOL = 1e-10
 PAIR_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SVDResult:
     """Factorization m = u @ diag(sigma) @ v.T with sigma descending.
 
@@ -158,7 +158,7 @@ def _sorted_norms(bt):
     return norms[order], order
 
 
-def svd(m, sweep=None, compute_uv=True):
+def svd(m, compute_uv=True):
     """Singular value decomposition via one-sided Jacobi rotations.
 
     Convergence requires both the contract criterion (off-diagonal Frobenius
@@ -183,37 +183,24 @@ def svd(m, sweep=None, compute_uv=True):
     stack, and the result is (count, min(rows, cols)), row b holding the
     singular values of m[b]. Every matrix of a stack keeps its own stopping
     rule, and the stack raises NumericError whenever one of its matrices
-    would. On the python lane the whole stack is swept at once
-    (jacobi_sweep_stack) in one working array the size of the stack, which
-    agrees with one call per matrix to roundoff; on the compiled lane, or
-    with a sweep override, each matrix runs the 2-D kernel in turn, with
-    one working matrix at a time.
-
-    sweep overrides the kernel lane (used by the benchmark and lane tests).
+    would. The whole stack is swept at once (jacobi_sweep_stack) in one
+    working array the size of the stack, which agrees with one call per
+    matrix to roundoff.
     """
     if np.ndim(m) == 3:
         if compute_uv:
             raise DomainError("a stack of matrices needs compute_uv=False")
         a = as_stack(m, "m")
         _check_side(a.shape[1:])
-        if sweep is None and _kernels.active_lane() == "python":
-            return _stack_sigma(a)
-        if sweep is None:
-            sweep = _kernels.jacobi_sweep
-        sigma = np.empty((len(a), min(a.shape[1:])))
-        for b, x in enumerate(a):
-            sigma[b] = _sigma(x, sweep, f" (matrix {b} of the stack)")
-        return sigma
+        return _stack_sigma(a)
     a = as_matrix(m, "m")
     _check_side(a.shape)
-    if sweep is None:
-        sweep = _kernels.jacobi_sweep
     if not compute_uv:
-        return _sigma(a, sweep)
+        return _sigma(a)
     bt, scale, threshold, transposed = _scaled_working(a)
     n = bt.shape[0]
     vt = np.eye(n, order="C")
-    sig_cut = _sweep_to_convergence(bt, vt, threshold, max(a.shape), sweep)
+    sig_cut = _sweep_to_convergence(bt, vt, threshold, max(a.shape))
 
     snorms, order = _sorted_norms(bt)
     sigma = snorms * scale
@@ -239,7 +226,7 @@ def svd(m, sweep=None, compute_uv=True):
     return SVDResult(u=u, sigma=sigma, v=v)
 
 
-def _sweep_to_convergence(bt, vt, threshold, shape_max, sweep, where=""):
+def _sweep_to_convergence(bt, vt, threshold, shape_max):
     """Sweep bt (and vt) in place until svd()'s stopping rule holds.
 
     Returns the negligibility cut of the converged working matrix; raises
@@ -254,16 +241,17 @@ def _sweep_to_convergence(bt, vt, threshold, shape_max, sweep, where=""):
         if rotations == 0:
             # no pair moved last sweep; further sweeps cannot improve this
             break
-        rotations = sweep(bt, vt, PAIR_TOL)
-    raise _no_convergence(bt, threshold, shape_max, where)
+        # looked up at call time, so a wrapper set on the module takes effect
+        rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
+    raise _no_convergence(bt, threshold, shape_max)
 
 
-def _sigma(a, sweep, where=""):
+def _sigma(a):
     """Descending singular values of matrix a, with no V accumulated."""
     bt, scale, threshold, _ = _scaled_working(a)
-    # a zero-column vt: the kernels accumulate rotations into nothing
+    # a zero-column vt: the sweep accumulates rotations into nothing
     vt = np.empty((bt.shape[0], 0))
-    _sweep_to_convergence(bt, vt, threshold, max(a.shape), sweep, where)
+    _sweep_to_convergence(bt, vt, threshold, max(a.shape))
     return _sorted_norms(bt)[0] * scale
 
 
@@ -305,15 +293,15 @@ def _stack_sigma(a):
                 bt[dest] = bt[pos]
             bt = bt[: len(keep)]
             live = live[keep]
-        rotations = _kernels.python_stack_sweep(bt, PAIR_TOL)
+        rotations = _kernels.jacobi_sweep_stack(bt, PAIR_TOL)
     b = live[0]
     raise _no_convergence(bt[0], threshold[b], shape_max,
                           f" (matrix {b} of the stack)")
 
 
-def singular_extremes(m, sweep=None):
+def singular_extremes(m):
     """(largest, smallest) singular value of m."""
-    s = svd(m, sweep=sweep).sigma
+    s = svd(m).sigma
     return float(s[0]), float(s[-1])
 
 

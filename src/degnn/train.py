@@ -57,7 +57,7 @@ class SBMSpec:
             raise DomainError("split fractions must be positive and sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeData:
     """A graph with block labels, features, and boolean split masks."""
 

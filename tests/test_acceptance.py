@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from degnn._kernels import active_lane
 from degnn.decompose import (
     connectivity_aware_decompose,
     merged_graph,
@@ -151,8 +150,7 @@ def test_04_contracting_stack_decay():
           and elapsed < 5.0)
     _report(4, "contracting stack decay", ok,
             f"sigma_A_err={abs(top - 1.0):.2e} bound_ok={bound_ok} "
-            f"monotone={mono_ok} zero_tail={zero_ok} elapsed={elapsed:.1f}s "
-            f"lane={active_lane()}")
+            f"monotone={mono_ok} zero_tail={zero_ok} elapsed={elapsed:.1f}s")
 
 
 def test_05_expanding_stack_preservation():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from degnn._kernels import active_lane
 from degnn.cli import main
 from degnn.decompose import load_decomposition
 from degnn.partition import import_partition
@@ -62,8 +61,6 @@ def test_partition_writes_labels_stats_manifest(tmp_path):
     assert len(manifest["input_hashes"][str(edges)]) == 64
     assert manifest["version"] == "0.1.0"
     assert manifest["wall_clock_seconds"] >= 0.0
-    assert manifest["svd_lane"] in ("compiled", "python")
-    assert manifest["svd_lane"] == active_lane()
     assert manifest["numpy_version"] == np.__version__
 
 
@@ -169,6 +166,17 @@ def test_decay_csv_bound_column(tmp_path):
     for depth, row in enumerate(rows[1:], start=1):
         assert int(row[0]) == depth
         assert abs(float(row[1]) - 0.5 ** depth) < 1e-12
+
+
+@pytest.mark.parametrize("sigma_w", ["-0.5", "inf"])
+def test_decay_impossible_sigma_w_exits_2(tmp_path, sigma_w):
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "run"
+    res = _run(["decay", "--edges", str(edges), "--depths", "1..2",
+                "--sigma-w", sigma_w, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "top singular value" in res.output
+    assert not out.exists()
 
 
 def test_train_writes_history_and_summary(tmp_path):

@@ -1,12 +1,8 @@
 import numpy as np
-import pytest
 
-from degnn._kernels import (
-    active_lane,
-    python_stack_sweep,
-    python_sweep,
-    sweep_implementations,
-)
+from degnn import _kernels
+from degnn._kernels import jacobi_sweep, jacobi_sweep_stack
+from degnn.spectral import svd
 
 
 def _prep(m):
@@ -16,19 +12,13 @@ def _prep(m):
     return bt, vt
 
 
-def test_lane_registry():
-    impls = sweep_implementations()
-    assert "python" in impls
-    assert active_lane() in impls
-
-
 def test_python_sweep_rotates_toward_orthogonal_columns():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(6, 4))
     bt, vt = _prep(m)
     before = np.abs(np.triu(bt @ bt.T, k=1)).sum()
     for _ in range(30):
-        if python_sweep(bt, vt, 1e-13) == 0:
+        if jacobi_sweep(bt, vt, 1e-13) == 0:
             break
     after = np.abs(np.triu(bt @ bt.T, k=1)).sum()
     assert after < 1e-10 * before
@@ -36,28 +26,8 @@ def test_python_sweep_rotates_toward_orthogonal_columns():
     assert np.max(np.abs(bt.T - m @ vt.T)) < 1e-12
 
 
-def test_lanes_agree():
-    impls = sweep_implementations()
-    if len(impls) < 2:
-        pytest.skip("compiled lane unavailable")
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        m = rng.normal(size=(rng.integers(2, 15), rng.integers(2, 15)))
-        if m.shape[0] < m.shape[1]:
-            m = m.T
-        states = {}
-        for name, fn in impls.items():
-            bt, vt = _prep(m)
-            counts = [fn(bt, vt, 1e-13) for _ in range(4)]
-            states[name] = (bt.copy(), vt.copy(), counts)
-        (b1, v1, c1), (b2, v2, c2) = states.values()
-        assert c1 == c2
-        assert np.max(np.abs(b1 - b2)) < 1e-13
-        assert np.max(np.abs(v1 - v2)) < 1e-13
-
-
 def test_stack_sweep_matches_per_matrix_sweep():
-    # the batched numpy sweep against the 2-D numpy sweep, matrix by matrix
+    # the stacked sweep against the 2-D sweep, matrix by matrix
     rng = np.random.default_rng(8)
     for rows, cols in ((7, 5), (6, 6), (12, 3)):
         mats = rng.normal(size=(5, rows, cols))
@@ -67,9 +37,33 @@ def test_stack_sweep_matches_per_matrix_sweep():
         stacked = np.ascontiguousarray(mats.transpose(0, 2, 1))
         single = [_prep(m) for m in mats]
         for _ in range(4):
-            counts = python_stack_sweep(stacked, 1e-13)
+            counts = jacobi_sweep_stack(stacked, 1e-13)
             assert counts.tolist() == [
-                python_sweep(bt, vt, 1e-13) for bt, vt in single
+                jacobi_sweep(bt, vt, 1e-13) for bt, vt in single
             ]
         for b, (bt, _) in enumerate(single):
             assert np.max(np.abs(stacked[b] - bt)) < 1e-13
+
+
+def test_svd_looks_up_its_sweeps_at_call_time(monkeypatch):
+    # a wrapper set on degnn._kernels after import must see every sweep
+    calls = {"jacobi_sweep": 0, "jacobi_sweep_stack": 0}
+
+    def counting(name):
+        inner = getattr(_kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counting(name))
+    rng = np.random.default_rng(5)
+    svd(rng.normal(size=(5, 4)))
+    assert calls["jacobi_sweep"] > 0
+    assert calls["jacobi_sweep_stack"] == 0
+    calls["jacobi_sweep"] = 0
+    svd(rng.normal(size=(3, 5, 4)), compute_uv=False)
+    assert calls["jacobi_sweep_stack"] > 0
+    assert calls["jacobi_sweep"] == 0

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from degnn.decompose import spectral_split
 from degnn.errors import DomainError, ParseError
 from degnn.graphs import Graph, connected_components
 from degnn.partition import (
@@ -14,6 +15,8 @@ from degnn.partition import (
     partition_stats,
     random_balanced_partition,
 )
+from degnn.propagate import gcn_stack
+from degnn.spectral import svd
 from degnn.train import SBMSpec, generate_sbm
 from oracles import best_balanced_bipartition_cut
 
@@ -33,6 +36,21 @@ def test_partition_container():
     assert part.imbalance() == 1.0
     with pytest.raises(DomainError):
         Partition(labels=np.array([0, 2]), p=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Partition(labels=np.array([0, 1]), p=2),
+    lambda: svd(np.eye(3)),
+    lambda: spectral_split(np.diag([3.0, 2.0, 1.0]), 2),
+    lambda: gcn_stack(np.eye(2), [np.eye(2)]),
+    lambda: generate_sbm(SBMSpec(n=12, b=2, p_in=0.8, p_out=0.1, d=2), 0),
+], ids=["Partition", "SVDResult", "SpectralSplit", "LayerStack", "NodeData"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # equal arrays in two instances must not make == ask an array for a bool
+    a, b = make(), make()
+    assert a == a
+    assert (a == b) is False
+    assert len({a, b, a}) == 2
 
 
 def test_partition_labels_are_read_only():

@@ -209,8 +209,9 @@ def test_decay_curve_bound_column_exact():
     # ||W v|| / ||v|| bounds sigma(W) from below for any v; at the top right
     # singular vector it reaches 0.5 + 7.4e-17 for one of the six weights.
     # The factor thus exceeds 0.5 + 2**-54, halfway to the next double, and
-    # is about 0.5 + 2.1e-16. Both SVD lanes land within 2 ulps of 0.5 (0.5
-    # and 0.49999999999999994), and 1e-15 is about 9 ulps.
+    # is about 0.5 + 2.1e-16. svd() lands within 2 ulps of 0.5 (it returns
+    # 0.49999999999999994; a kernel with another summation order returned
+    # 0.5), and 1e-15 is about 9 ulps.
     third = Fraction(1, 3) + Fraction(5, 3 * 2**54)
     assert np.array_equal(a, a.T)
     assert all(np.count_nonzero(a, axis=1) == 3)
@@ -310,3 +311,9 @@ def test_weights_with_top_singular():
     w = weights_with_top_singular((3, 3), 0.5, seed=12)
     hi, _ = singular_extremes(w)
     assert abs(hi - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("sigma", [-0.5, np.inf, np.nan])
+def test_weights_with_top_singular_rejects_impossible_sigma(sigma):
+    with pytest.raises(DomainError):
+        weights_with_top_singular((3, 3), sigma, seed=0)
