@@ -1,10 +1,8 @@
-"""The one-sided Jacobi sweep kernels that svd() drives.
+"""The one-sided Jacobi sweep that svd() drives.
 
-jacobi_sweep runs one sweep on a single matrix, accumulating V when asked.
-jacobi_sweep_stack runs the same sweep on a whole stack of matrices at once,
-singular values only: one numpy call per pair serves every matrix, where the
-2-D kernel pays one Python-level step per pair and matrix. svd() looks both
-names up here at call time.
+jacobi_sweep runs one round-robin sweep on a whole stack of matrices at
+once, accumulating V when asked; a single matrix is a stack of one. svd()
+looks the name up here at call time.
 """
 
-from degnn._kernels._jacobi_np import jacobi_sweep, jacobi_sweep_stack
+from degnn._kernels._jacobi_np import jacobi_sweep

@@ -254,56 +254,32 @@ def decomposition_stats(g, d):
     }
 
 
-def piece_matrices(g, d, normalization="global", self_loops=True, discount=False):
+def piece_matrices(g, d, discount=False):
     """Dense propagation matrices, one per piece of a decomposition.
 
-    normalization picks how degrees are computed:
-      global     entries come from the symmetrically normalized matrix of
-                 the whole graph, masked to each piece (self loops shared
-                 by every piece);
-      per_piece  each piece graph is normalized independently;
-      none       raw piece adjacency (plus identity when self_loops).
+    Entries come from the symmetrically normalized matrix of the whole graph
+    (self loops included), masked to each piece; every piece shares the
+    self-loop diagonal.
 
-    discount divides the shared entries (skeleton edges and, for global
-    normalization, the self-loop diagonal) by k in every piece so the
-    pieces sum to the whole-graph matrix again. It requires entries that
-    are identical across pieces, so it is rejected for per_piece.
+    discount divides the shared entries (skeleton edges and the self-loop
+    diagonal) by k in every piece so the pieces sum to the whole-graph
+    matrix again.
     """
     if d.n != g.n:
         raise DomainError("decomposition is over a different node set")
-    if normalization not in ("global", "per_piece", "none"):
-        raise DomainError(f"unknown normalization mode {normalization!r}")
-    if discount and normalization == "per_piece":
-        raise DomainError("discount needs entries shared across pieces; "
-                          "per_piece normalization breaks that")
     k = d.k
     shared = {(i, j) for (i, j, _) in d.skeleton}
+    base = normalized_adjacency(g)
     out = []
-    if normalization == "global":
-        base = normalized_adjacency(g, add_self_loops=self_loops)
-        for piece in d.pieces:
-            m = np.zeros_like(base)
-            if self_loops:
-                np.fill_diagonal(m, np.diag(base) / (k if discount else 1))
-            for (i, j, _) in piece:
-                v = base[i, j]
-                if discount and (i, j) in shared:
-                    v = v / k
-                m[i, j] = v
-                m[j, i] = v
-            out.append(m)
-        return out
-    for idx, piece in enumerate(d.pieces):
-        if normalization == "per_piece":
-            m = normalized_adjacency(d.piece_graph(idx), add_self_loops=self_loops)
-        else:
-            m = np.zeros((g.n, g.n))
-            for (i, j, w) in piece:
-                v = w / (k if discount and (i, j) in shared else 1)
-                m[i, j] = v
-                m[j, i] = v
-            if self_loops:
-                m = m + np.eye(g.n) / (k if discount else 1)
+    for piece in d.pieces:
+        m = np.zeros_like(base)
+        np.fill_diagonal(m, np.diag(base) / (k if discount else 1))
+        for (i, j, _) in piece:
+            v = base[i, j]
+            if discount and (i, j) in shared:
+                v = v / k
+            m[i, j] = v
+            m[j, i] = v
         out.append(m)
     return out
 

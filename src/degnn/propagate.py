@@ -284,10 +284,11 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     All samples advance one layer at a time, and each requested depth's
     end-to-end maps go to svd() as one stack (singular values only). The
     products live in one (n_samples, rows, cols) array, updated in place
-    while the feature width stays the same. Peak memory is about two such
-    arrays: svd() sweeps a working copy of the whole stack (tracemalloc
-    peak: 2.5 stacks for 16 products of 80 x 80), and a layer that changes
-    the width builds its products in a new array.
+    while the feature width stays the same. Peak memory is about four such
+    arrays: svd() sweeps a working copy of the whole stack, each round of a
+    sweep rotates a gathered copy of the rows it pairs up (tracemalloc peak:
+    4.4 stacks for 16 products of 80 x 80), and a layer that changes the
+    width builds its products in a new array.
     """
     depths = [int(d) for d in depths]
     if not depths or depths != sorted(set(depths)):

@@ -115,8 +115,9 @@ def _converged(bt, threshold, shape_max):
     return off <= threshold and rel <= REL_ORTH_TOL, sig_cut
 
 
-def _no_convergence(bt, threshold, shape_max, where=""):
+def _no_convergence(bt, threshold, shape_max, b, count):
     off, rel, _ = _gram_state(bt, shape_max)
+    where = f" (matrix {b} of the stack)" if count > 1 else ""
     return NumericError(
         f"jacobi svd did not converge in {MAX_SWEEPS} sweeps{where} "
         f"(gram off-diagonal {off:.3e} vs {threshold:.3e}, "
@@ -131,24 +132,28 @@ def _check_side(shape):
         )
 
 
-def _scaled_working(a, out=None):
-    """svd()'s working state for matrix a; wide input is transposed first.
+def _scaled_working(a, out):
+    """Write svd()'s working state for matrix a into out.
 
-    Returns (bt, scale, threshold, transposed): bt holds the working columns
-    as rows, scaled to unit Frobenius norm, so rotations touch contiguous
-    memory; threshold is the Gram criterion in that scaled frame. bt is
-    written into out, a C-contiguous (min(rows, cols), max(rows, cols))
-    array, when one is given.
+    out is a C-contiguous (min(rows, cols), max(rows, cols)) array; it gets
+    the working columns as rows (wide input is transposed first), scaled to
+    unit Frobenius norm, so rotations touch contiguous memory. Returns
+    (scale, exponent, threshold): each singular value is a working column
+    norm times scale * 2**exponent, and threshold is the Gram criterion in
+    the scaled frame.
+
+    a is first scaled by the power of two that brings max |a| into
+    [0.5, 1). That is exact, so the Frobenius norm can neither underflow
+    nor overflow, and where the squares of the entries stay in range the
+    results are the same bits as without it.
     """
-    rows, cols = a.shape
-    transposed = rows < cols
-    work = a.T if transposed else a
+    exponent = int(np.frexp(np.abs(a).max())[1])
+    a = np.ldexp(a, -exponent)
     fro = float(np.sqrt((a * a).sum()))
     scale = fro if fro > 0.0 else 1.0
-    if out is None:
-        out = np.empty(work.shape[::-1])
+    work = a.T if a.shape[0] < a.shape[1] else a
     np.divide(work.T, scale, out=out)
-    return out, scale, GRAM_TOL * (fro / scale), transposed
+    return scale, exponent, GRAM_TOL * (fro / scale)
 
 
 def _sorted_norms(bt):
@@ -175,7 +180,10 @@ def svd(m, compute_uv=True):
     scale-invariant: the Gram criterion in the scaled frame is exactly
     off < 1e-12 * ||m_scaled||_F. Without the pre-scaling, float64 rounding
     noise in the Gram entries (~2e-16 * ||m||_F^2) would exceed the absolute
-    threshold for ||m||_F beyond ~1e3 regardless of algorithm.
+    threshold for ||m||_F beyond ~1e3 regardless of algorithm. A power of
+    two taken out first keeps ||m||_F itself in range, so
+    svd(m * 2**k).sigma == svd(m).sigma * 2**k exactly while no entry or
+    singular value leaves the normal float range.
 
     compute_uv=False returns the singular values alone, as a descending
     array: the sweeps accumulate no V and no U is completed; sigma is the
@@ -183,36 +191,32 @@ def svd(m, compute_uv=True):
     stack, and the result is (count, min(rows, cols)), row b holding the
     singular values of m[b]. Every matrix of a stack keeps its own stopping
     rule, and the stack raises NumericError whenever one of its matrices
-    would. The whole stack is swept at once (jacobi_sweep_stack) in one
-    working array the size of the stack, which agrees with one call per
-    matrix to roundoff.
+    would. A single matrix is swept as a stack of one by the same kernel
+    (degnn._kernels.jacobi_sweep), so row b is the same bits as
+    svd(m[b]).sigma. The stack is swept in one working array its own size,
+    and each round of a sweep rotates a gathered copy of the rows it pairs.
     """
     if np.ndim(m) == 3:
         if compute_uv:
             raise DomainError("a stack of matrices needs compute_uv=False")
         a = as_stack(m, "m")
         _check_side(a.shape[1:])
-        return _stack_sigma(a)
+        return _jacobi(a, with_v=False)[0]
     a = as_matrix(m, "m")
     _check_side(a.shape)
+    sigma, sig_cut, bt, vt = _jacobi(a[None], with_v=compute_uv)
     if not compute_uv:
-        return _sigma(a)
-    bt, scale, threshold, transposed = _scaled_working(a)
-    n = bt.shape[0]
-    vt = np.eye(n, order="C")
-    sig_cut = _sweep_to_convergence(bt, vt, threshold, max(a.shape))
-
-    snorms, order = _sorted_norms(bt)
-    sigma = snorms * scale
-    bt = bt[order]
-    vt = vt[order]
+        return sigma[0]
+    snorms, order = _sorted_norms(bt[0])
+    bt = bt[0][order]
+    vt = vt[0][order]
     # significant columns keep their rotated direction; negligible ones get
     # re-orthonormalized, which perturbs the reconstruction by at most the
     # negligibility cut per column
     ut = np.zeros_like(bt)
     filled = []
-    for r in range(n):
-        if snorms[r] > sig_cut:
+    for r in range(len(snorms)):
+        if snorms[r] > sig_cut[0]:
             ut[r] = bt[r] / snorms[r]
         else:
             seed_vec = bt[r] / snorms[r] if snorms[r] > 0.0 else None
@@ -221,82 +225,71 @@ def svd(m, compute_uv=True):
 
     u = ut.T.copy()
     v = vt.T.copy()
-    if transposed:
+    if a.shape[0] < a.shape[1]:
         u, v = v, u
-    return SVDResult(u=u, sigma=sigma, v=v)
+    return SVDResult(u=u, sigma=sigma[0], v=v)
 
 
-def _sweep_to_convergence(bt, vt, threshold, shape_max):
-    """Sweep bt (and vt) in place until svd()'s stopping rule holds.
+def _jacobi(a, with_v):
+    """Sweep every matrix of stack a to svd()'s stopping rule, as one batch.
 
-    Returns the negligibility cut of the converged working matrix; raises
-    NumericError after MAX_SWEEPS sweeps, or on a stall (a sweep that moved
-    no pair while the convergence tests still fail).
-    """
-    rotations = None
-    for _ in range(MAX_SWEEPS + 1):
-        converged, sig_cut = _converged(bt, threshold, shape_max)
-        if converged:
-            return sig_cut
-        if rotations == 0:
-            # no pair moved last sweep; further sweeps cannot improve this
-            break
-        # looked up at call time, so a wrapper set on the module takes effect
-        rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
-    raise _no_convergence(bt, threshold, shape_max)
-
-
-def _sigma(a):
-    """Descending singular values of matrix a, with no V accumulated."""
-    bt, scale, threshold, _ = _scaled_working(a)
-    # a zero-column vt: the sweep accumulates rotations into nothing
-    vt = np.empty((bt.shape[0], 0))
-    _sweep_to_convergence(bt, vt, threshold, max(a.shape))
-    return _sorted_norms(bt)[0] * scale
-
-
-def _stack_sigma(a):
-    """Singular values of every matrix of a stack, swept as one batch.
-
-    Each matrix gets svd()'s working state and stopping rule; a converged
+    Each matrix gets its own working state and stopping rule; a converged
     matrix leaves the batch, so the sweeps shrink as the stack converges.
-    The working states fill one array the size of the stack, compacted in
-    place as matrices leave.
+    The working states fill one array the size of the stack, bt, and V
+    accumulates in vt when with_v; both are compacted in place as matrices
+    leave.
+
+    Returns (sigma, sig_cut, bt, vt): row b of sigma holds the descending
+    singular values of a[b] and sig_cut[b] the negligibility cut of its
+    converged working matrix. For a stack of one, bt[0] and vt[0] hold that
+    matrix's converged working state; in a larger stack compaction has
+    overwritten them. Raises NumericError after MAX_SWEEPS sweeps, or on a
+    stall (a sweep that moved no pair of a matrix while its convergence
+    tests still fail).
     """
     count, rows, cols = a.shape
-    shape_max = max(rows, cols)
-    bt = np.empty((count, min(rows, cols), shape_max))
+    side, shape_max = min(rows, cols), max(rows, cols)
+    bt = np.empty((count, side, shape_max))
+    vt = np.zeros((count, side, side if with_v else 0))
+    if with_v:
+        vt[:, range(side), range(side)] = 1.0
     scale = np.empty(count)
+    exponent = np.empty(count, dtype=np.int64)
     threshold = np.empty(count)
     for b, x in enumerate(a):
-        _, scale[b], threshold[b], _ = _scaled_working(x, out=bt[b])
-    sigma = np.empty(bt.shape[:2])
+        scale[b], exponent[b], threshold[b] = _scaled_working(x, bt[b])
+    sigma = np.empty((count, side))
+    sig_cut = np.empty(count)
     live = np.arange(count)
     rotations = None
     for _ in range(MAX_SWEEPS + 1):
         keep = []
         for pos, b in enumerate(live):
-            converged, _ = _converged(bt[pos], threshold[b], shape_max)
+            converged, sig_cut[b] = _converged(bt[pos], threshold[b],
+                                               shape_max)
             if converged:
-                sigma[b] = _sorted_norms(bt[pos])[0] * scale[b]
+                norms = _sorted_norms(bt[pos])[0]
+                sigma[b] = np.ldexp(norms * scale[b], exponent[b])
             elif rotations is not None and rotations[pos] == 0:
                 # no pair of this matrix moved last sweep: a stall
-                raise _no_convergence(bt[pos], threshold[b], shape_max,
-                                      f" (matrix {b} of the stack)")
+                raise _no_convergence(bt[pos], threshold[b], shape_max, b,
+                                      count)
             else:
                 keep.append(pos)
         if not keep:
-            return sigma
+            return sigma, sig_cut, bt, vt
         if len(keep) < len(live):
             # keep ascends, so each move copies a matrix down or onto itself
             for dest, pos in enumerate(keep):
                 bt[dest] = bt[pos]
+                vt[dest] = vt[pos]
             bt = bt[: len(keep)]
+            vt = vt[: len(keep)]
             live = live[keep]
-        rotations = _kernels.jacobi_sweep_stack(bt, PAIR_TOL)
+        # looked up at call time, so a wrapper set on the module takes effect
+        rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
     b = live[0]
-    raise _no_convergence(bt[0], threshold[b], shape_max,
-                          f" (matrix {b} of the stack)")
+    raise _no_convergence(bt[0], threshold[b], shape_max, b, count)
 
 
 def singular_extremes(m):

@@ -282,7 +282,7 @@ def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
         partitions=partitions,
     )
     return [
-        piece_matrices(g, d, normalization="global", discount=discount)
+        piece_matrices(g, d, discount=discount)
         for d in decs
     ]
 

@@ -7,6 +7,8 @@ point is that a bug in the library cannot hide behind the same bug here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -77,6 +79,63 @@ def singular_values_charpoly(m, grid=8192):
         roots.append(0.0)
     roots = np.sqrt(np.clip(np.array(sorted(roots, reverse=True)[:n]), 0.0, None))
     return roots
+
+
+def jacobi_sweep_cyclic(bt, vt, delta):
+    """One cyclic one-sided Jacobi sweep over a single matrix, in place.
+
+    The reference for degnn._kernels.jacobi_sweep: the same skip test and
+    rotation formulas, one pair at a time in row-cyclic order. bt holds the
+    working matrix transposed (row k is column k of B), vt the accumulated
+    rotations transposed; a vt with zero columns accumulates nothing.
+    Returns the rotation count.
+    """
+    n = bt.shape[0]
+    rotations = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            bi = bt[i]
+            bj = bt[j]
+            gamma = float(bi @ bj)
+            if gamma == 0.0:
+                continue
+            alpha = float(bi @ bi)
+            beta = float(bj @ bj)
+            if abs(gamma) <= delta * math.sqrt(alpha * beta):
+                continue
+            zeta = (beta - alpha) / (2.0 * gamma)
+            sign = 1.0 if zeta >= 0.0 else -1.0
+            t = sign / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = c * t
+            # evaluate both updates from the old rows before writing either
+            new_bi = c * bi - s * bj
+            new_bj = s * bi + c * bj
+            bt[i] = new_bi
+            bt[j] = new_bj
+            vi = vt[i]
+            vj = vt[j]
+            new_vi = c * vi - s * vj
+            new_vj = s * vi + c * vj
+            vt[i] = new_vi
+            vt[j] = new_vj
+            rotations += 1
+    return rotations
+
+
+def singular_values_cyclic_jacobi(m, delta=1e-13, max_sweeps=60):
+    """Descending singular values of m from cyclic Jacobi sweeps.
+
+    Sweeps until one rotates no pair, which certifies every column pair
+    orthogonal to within delta, and returns the sorted column norms.
+    """
+    a = np.asarray(m, dtype=np.float64)
+    bt = np.array(a if a.shape[0] < a.shape[1] else a.T, order="C")
+    vt = np.empty((bt.shape[0], 0))
+    for _ in range(max_sweeps):
+        if jacobi_sweep_cyclic(bt, vt, delta) == 0:
+            return np.sort(np.sqrt((bt * bt).sum(axis=1)))[::-1]
+    raise AssertionError(f"no convergence in {max_sweeps} cyclic sweeps")
 
 
 def brute_cut(edges, labels):

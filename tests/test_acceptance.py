@@ -87,7 +87,7 @@ def test_01_exact_linearization():
         else:
             k = int(rng.integers(1, 4))
             dec = random_decompose(g, k, seed=t)
-            pieces = piece_matrices(g, dec, normalization="global")
+            pieces = piece_matrices(g, dec)
             layer_weights = [
                 [rng.normal(size=(dims[i], dims[i + 1])) for _ in range(k)]
                 for i in range(depth)

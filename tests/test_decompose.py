@@ -233,29 +233,12 @@ def test_piece_matrices_global_discount_sums_to_whole():
     rng = np.random.default_rng(17)
     g = _random_graph(20, 40, rng)
     d = connectivity_aware_decompose(g, 2, 3, seed=5)
-    mats = piece_matrices(g, d, normalization="global", discount=True)
+    mats = piece_matrices(g, d, discount=True)
     want = normalized_adjacency(g)
     assert np.max(np.abs(sum(mats) - want)) < 1e-12
     # without discount the shared entries are replicated, so the sum drifts
-    plain = piece_matrices(g, d, normalization="global", discount=False)
+    plain = piece_matrices(g, d, discount=False)
     assert np.max(np.abs(sum(plain) - want)) > 1e-6
-
-
-def test_piece_matrices_raw_mode():
-    g = Graph(3, [(0, 1, 2.0), (1, 2, 1.0)])
-    d = random_decompose(g, 2, seed=1)
-    mats = piece_matrices(g, d, normalization="none", self_loops=False)
-    total = sum(mats)
-    assert total[0, 1] == 2.0 and total[1, 2] == 1.0 and total[0, 2] == 0.0
-
-
-def test_piece_matrices_per_piece_rejects_discount():
-    g = Graph(3, [(0, 1), (1, 2)])
-    d = connectivity_aware_decompose(g, 1, 2, seed=0)
-    with pytest.raises(DomainError):
-        piece_matrices(g, d, normalization="per_piece", discount=True)
-    mats = piece_matrices(g, d, normalization="per_piece")
-    assert all(m.shape == (3, 3) for m in mats)
 
 
 def test_layer_decompositions_independent_per_layer():

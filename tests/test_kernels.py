@@ -1,69 +1,76 @@
 import numpy as np
 
 from degnn import _kernels
-from degnn._kernels import jacobi_sweep, jacobi_sweep_stack
+from degnn._kernels import jacobi_sweep
+from degnn._kernels._jacobi_np import _schedule
 from degnn.spectral import svd
-
-
-def _prep(m):
-    """Working state for one sweep: transposed copies of the matrix and identity."""
-    bt = np.array(m.T, dtype=np.float64, order="C")
-    vt = np.eye(m.shape[1], order="C")
-    return bt, vt
+from oracles import singular_values_cyclic_jacobi
 
 
 def test_python_sweep_rotates_toward_orthogonal_columns():
     rng = np.random.default_rng(0)
-    m = rng.normal(size=(6, 4))
-    bt, vt = _prep(m)
-    before = np.abs(np.triu(bt @ bt.T, k=1)).sum()
+    mats = rng.normal(size=(3, 6, 4))
+    mats[1] = 0.0  # every pair skipped
+    # the working state of each matrix, transposed, and identity V's
+    bt = np.ascontiguousarray(mats.transpose(0, 2, 1))
+    vt = np.repeat(np.eye(4)[None], 3, axis=0)
+    before = np.abs(np.triu(bt @ bt.transpose(0, 2, 1), k=1)).sum(axis=(1, 2))
     for _ in range(30):
-        if jacobi_sweep(bt, vt, 1e-13) == 0:
+        counts = jacobi_sweep(bt, vt, 1e-13)
+        assert counts.shape == (3,) and counts[1] == 0
+        if not counts.any():
             break
-    after = np.abs(np.triu(bt @ bt.T, k=1)).sum()
-    assert after < 1e-10 * before
+    after = np.abs(np.triu(bt @ bt.transpose(0, 2, 1), k=1)).sum(axis=(1, 2))
+    assert np.all(after[[0, 2]] < 1e-10 * before[[0, 2]])
+    assert after[1] == 0.0
     # rotations preserve the product: B = M V
-    assert np.max(np.abs(bt.T - m @ vt.T)) < 1e-12
+    for b, m in enumerate(mats):
+        assert np.max(np.abs(bt[b].T - m @ vt[b].T)) < 1e-12
 
 
-def test_stack_sweep_matches_per_matrix_sweep():
-    # the stacked sweep against the 2-D sweep, matrix by matrix
+def test_round_robin_schedule_covers_every_pair_once():
+    for n in range(1, 10):
+        seen = []
+        for pairs in _schedule(n):
+            assert pairs.shape[1] == 2 and np.all(pairs[:, 0] < pairs[:, 1])
+            assert len(set(pairs.ravel().tolist())) == pairs.size  # disjoint
+            seen += [tuple(p) for p in pairs.tolist()]
+        want = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert sorted(seen) == want
+
+
+def test_round_robin_sigma_matches_cyclic_reference():
     rng = np.random.default_rng(8)
-    for rows, cols in ((7, 5), (6, 6), (12, 3)):
-        mats = rng.normal(size=(5, rows, cols))
-        mats[1] = 0.0  # every pair skipped
-        mats[2] = np.eye(rows, cols)  # already orthogonal
-        mats[3][:, -1] = mats[3][:, 0]  # rank-deficient
-        stacked = np.ascontiguousarray(mats.transpose(0, 2, 1))
-        single = [_prep(m) for m in mats]
-        for _ in range(4):
-            counts = jacobi_sweep_stack(stacked, 1e-13)
-            assert counts.tolist() == [
-                jacobi_sweep(bt, vt, 1e-13) for bt, vt in single
-            ]
-        for b, (bt, _) in enumerate(single):
-            assert np.max(np.abs(stacked[b] - bt)) < 1e-13
+    deficient = rng.normal(size=(7, 5))
+    deficient[:, -1] = deficient[:, 0] + deficient[:, 1]
+    graded = rng.normal(size=(9, 6)) * np.logspace(-12, 0, 6)
+    mats = [
+        np.zeros((4, 3)),
+        deficient,
+        graded,
+        rng.normal(size=(4, 11)),  # wide
+        rng.normal(size=(24, 24)),
+        rng.normal(size=(80, 80)),
+    ]
+    for m in mats:
+        got = svd(m, compute_uv=False)
+        want = singular_values_cyclic_jacobi(m)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[0])
 
 
 def test_svd_looks_up_its_sweeps_at_call_time(monkeypatch):
     # a wrapper set on degnn._kernels after import must see every sweep
-    calls = {"jacobi_sweep": 0, "jacobi_sweep_stack": 0}
+    calls = []
+    inner = _kernels.jacobi_sweep
 
-    def counting(name):
-        inner = getattr(_kernels, name)
+    def counting(bt, vt, delta):
+        calls.append(bt.shape[0])
+        return inner(bt, vt, delta)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(_kernels, name, counting(name))
+    monkeypatch.setattr(_kernels, "jacobi_sweep", counting)
     rng = np.random.default_rng(5)
     svd(rng.normal(size=(5, 4)))
-    assert calls["jacobi_sweep"] > 0
-    assert calls["jacobi_sweep_stack"] == 0
-    calls["jacobi_sweep"] = 0
+    assert calls and set(calls) == {1}
+    calls.clear()
     svd(rng.normal(size=(3, 5, 4)), compute_uv=False)
-    assert calls["jacobi_sweep_stack"] > 0
-    assert calls["jacobi_sweep"] == 0
+    assert calls and calls[0] == 3

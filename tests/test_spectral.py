@@ -192,6 +192,33 @@ def test_svd_handles_tiny_and_huge_scales():
         assert np.max(np.abs(res.sigma - want)) < 1e-8 * max(want[0], 1e-300)
 
 
+def test_svd_scales_exactly_by_powers_of_two():
+    # scaling by 2**k is exact, so sigma must scale exactly too, even where
+    # the squares of the entries leave the float range
+    rng = np.random.default_rng(15)
+    for shape in ((6, 5), (3, 7)):
+        signs = rng.choice([-1.0, 1.0], size=(2, *shape))
+        m = rng.uniform(0.5, 2.0, size=(2, *shape)) * signs
+        want = svd(m, compute_uv=False)
+        for k in (-1000, -600, 600, 1000):
+            scaled = np.ldexp(m, k)
+            got = svd(scaled, compute_uv=False)
+            assert np.array_equal(got, np.ldexp(want, k))
+            for b in range(len(m)):
+                assert np.array_equal(svd(scaled[b]).sigma, got[b])
+                assert np.array_equal(svd(scaled[b], compute_uv=False), got[b])
+    diag = np.diag([3.0, 2.0, 1.0])
+    for scale in (1e-170, 1e160):
+        want = np.array([3.0, 2.0, 1.0]) * scale
+        res = svd(diag * scale)
+        assert np.allclose(res.sigma, want, rtol=1e-15, atol=0.0)
+        assert np.allclose(svd(diag * scale, compute_uv=False), want,
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(svd((diag * scale)[None], compute_uv=False)[0],
+                           want, rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(res.reconstruct() / scale - diag)) < 1e-14
+
+
 def test_svd_stack_matches_per_matrix_sigma():
     rng = np.random.default_rng(13)
     tall = rng.normal(size=(5, 7, 5))
@@ -206,7 +233,7 @@ def test_svd_stack_matches_per_matrix_sigma():
         assert got.shape == (len(stack), min(stack.shape[1:]))
         for b, m in enumerate(stack):
             want = svd(m).sigma
-            assert np.all(np.abs(got[b] - want) <= 1e-14 * want[0])
+            assert np.array_equal(got[b], want)
             assert np.array_equal(svd(m, compute_uv=False), want)
 
 

@@ -96,26 +96,36 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def main(argv):
-    tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
-    src = (tree / "src").resolve()
+def run(tree, work):
+    """Run the golden set on the checkout at tree, with outputs under work.
+
+    Returns {artifact: path}, where artifact is the path relative to work;
+    manifest.json files are left out.
+    """
+    src = (Path(tree) / "src").resolve()
     if not (src / "degnn").is_dir():
         sys.exit(f"golden_digests: no degnn package under {src}")
     env = {k: v for k, v in os.environ.items() if not k.startswith("DEGNN_")}
     env["PYTHONPATH"] = str(src)
+    artifacts = {}
+    for name, args in commands(work):
+        out = work / name
+        subprocess.run(
+            [sys.executable, "-m", "degnn.cli", *args, "--out", str(out)],
+            env=env, check=True, stdout=subprocess.DEVNULL, cwd=work,
+        )
+        for path in sorted(out.rglob("*")):
+            if path.is_file() and path.name != "manifest.json":
+                artifacts[str(path.relative_to(work))] = path
+    return artifacts
+
+
+def main(argv):
+    tree = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent)
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        lines = []
-        for name, args in commands(work):
-            out = work / name
-            subprocess.run(
-                [sys.executable, "-m", "degnn.cli", *args, "--out", str(out)],
-                env=env, check=True, stdout=subprocess.DEVNULL, cwd=tmp,
-            )
-            for path in sorted(out.rglob("*")):
-                if path.is_file() and path.name != "manifest.json":
-                    lines.append(f"{_sha256(path)}  {path.relative_to(work)}")
-    print("\n".join(sorted(lines, key=lambda line: line.split()[1])))
+        artifacts = run(tree, Path(tmp))
+        print("\n".join(f"{_sha256(path)}  {name}"
+                        for name, path in sorted(artifacts.items())))
 
 
 if __name__ == "__main__":
