@@ -1,8 +1,8 @@
 """Connectivity-aware graph decomposition with a spectral verification lab.
 
 Library map:
-    graphs      graph type, edge-list/feature ingestion, normalization
-    linalg      dense-matrix utilities (vec, unvec, kron)
+    graphs      graph type, edge-list ingestion, normalization
+    linalg      dense-matrix utilities (validation, vec, kron)
     partition   deterministic multilevel k-way partitioner
     decompose   edge decompositions: random, connectivity-aware, spectral
     spectral    one-sided Jacobi svd, regime certificates, closed-form spectra

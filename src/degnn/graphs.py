@@ -85,15 +85,6 @@ class Graph:
         """Mapping neighbor -> weight for node i. Do not mutate."""
         return self._adj[i]
 
-    def degree(self, i):
-        return len(self._adj[i])
-
-    def weighted_degree(self, i):
-        return sum(self._adj[i].values())
-
-    def has_edge(self, i, j):
-        return j in self._adj[i]
-
     def weight(self, i, j):
         try:
             return self._adj[i][j]
@@ -104,16 +95,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def load_edge_list(path, n=None, one_indexed=False):
+def load_edge_list(path):
     """Read a whitespace-separated edge list file into a Graph.
 
     Each non-blank line is "src dst" or "src dst weight"; text after '#' is
     a comment. Duplicate undirected pairs collapse to one edge (the last
     weight read wins); self-loop lines are skipped with a warning. Node
-    count is 1 + max id seen unless n is given explicitly.
+    count is 1 + max id seen.
 
-    Raises ParseError (with 1-based line number) on malformed lines and
-    DomainError on negative ids or an explicit n smaller than 1 + max id.
+    Raises ParseError (with 1-based line number) on malformed lines or an
+    empty file, and DomainError on negative ids.
     """
     path = str(path)
     raw = {}
@@ -145,9 +136,6 @@ def load_edge_list(path, n=None, one_indexed=False):
                         f"weight must be a number, got {parts[2]!r}",
                         path=path, line=lineno,
                     ) from None
-            if one_indexed:
-                i -= 1
-                j -= 1
             if i < 0 or j < 0:
                 raise DomainError(
                     f"negative node id on line {lineno} of {path}"
@@ -162,51 +150,9 @@ def load_edge_list(path, n=None, one_indexed=False):
                 i, j = j, i
             raw[(i, j)] = w
             max_id = max(max_id, j)
-    if n is None:
-        if max_id < 0:
-            raise ParseError("edge list is empty and no node count given", path=path)
-        n = max_id + 1
-    elif max_id >= n:
-        raise DomainError(
-            f"explicit n={n} but file references node {max_id}"
-        )
-    return Graph(n, [(i, j, w) for (i, j), w in raw.items()])
-
-
-def load_features_csv(path, n):
-    """Read a headerless CSV of n rows into an n x d float64 matrix.
-
-    Raises ParseError on a row-count mismatch, ragged rows, or non-numeric
-    cells (with the offending 1-based line number).
-    """
-    path = str(path)
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            cells = text.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(
-                    f"row has {len(cells)} cells, expected {width}",
-                    path=path, line=lineno,
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                raise ParseError(
-                    "non-numeric cell", path=path, line=lineno
-                ) from None
-    if len(rows) != n:
-        raise ParseError(f"expected {n} feature rows, found {len(rows)}", path=path)
-    out = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        raise ParseError("feature file contains non-finite values", path=path)
-    return out
+    if max_id < 0:
+        raise ParseError("edge list is empty", path=path)
+    return Graph(max_id + 1, [(i, j, w) for (i, j), w in raw.items()])
 
 
 def adjacency(g):
@@ -218,24 +164,14 @@ def adjacency(g):
     return a
 
 
-def normalized_adjacency(g, add_self_loops=True):
-    """Symmetric degree-normalized adjacency D^{-1/2} (A [+ I]) D^{-1/2}.
+def normalized_adjacency(g):
+    """Symmetric degree-normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
-    Degrees are row sums of the (optionally self-looped) matrix. With
-    self-loops every degree is positive; without them an isolated node has
-    no valid normalization and raises DomainError. The result has spectral
-    norm at most 1, attained on any graph with at least one edge.
+    Degrees are row sums of the self-looped matrix, so every degree is at
+    least 1, isolated nodes included. The result has spectral norm 1.
     """
-    a = adjacency(g)
-    if add_self_loops:
-        a = a + np.eye(g.n)
+    a = adjacency(g) + np.eye(g.n)
     deg = a.sum(axis=1)
-    if np.any(deg <= 0.0):
-        bad = int(np.argmin(deg))
-        raise DomainError(
-            f"node {bad} has degree 0; normalization needs positive degrees "
-            "(enable add_self_loops or remove isolated nodes)"
-        )
     inv_sqrt = 1.0 / np.sqrt(deg)
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 

@@ -1,6 +1,6 @@
 """Dense matrix utilities: validation, column-stacking vec, Kronecker product.
 
-Matrices are plain numpy float64 arrays throughout the package. vec/unvec use
+Matrices are plain numpy float64 arrays throughout the package. vec uses
 column stacking (Fortran order), so vec(A @ Y @ B) == kron(B.T, A) @ vec(Y).
 """
 
@@ -57,16 +57,6 @@ def vec(x):
     """
     x = as_matrix(x, "x")
     return x.reshape(-1, order="F").copy()
-
-
-def unvec(v, n, d):
-    """Inverse of vec: reshape a length n*d vector into an n x d matrix."""
-    v = as_vector(v, "v")
-    if n <= 0 or d <= 0:
-        raise DomainError(f"target shape must be positive, got ({n}, {d})")
-    if v.size != n * d:
-        raise DomainError(f"vector of length {v.size} cannot fill a {n}x{d} matrix")
-    return v.reshape((n, d), order="F").copy()
 
 
 def kron(a, b):

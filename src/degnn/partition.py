@@ -86,17 +86,6 @@ def partition_stats(g, part):
     }
 
 
-def random_balanced_partition(n, p, seed):
-    """Baseline: seeded shuffle dealt round-robin, sizes differ by <= 1."""
-    if not (1 <= p <= n):
-        raise DomainError(f"need 1 <= p <= n, got p={p}, n={n}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = np.arange(n) % p
-    return Partition(labels=labels, p=p)
-
-
 def import_partition(path, n):
     """Read one part id per line; p becomes 1 + max id.
 
@@ -409,8 +398,10 @@ def multilevel_partition(g, p, seed, max_imbalance=1.3):
         raise DomainError(f"p must be an int, got {p!r}")
     if not (1 <= p <= g.n):
         raise DomainError(f"need 1 <= p <= n={g.n}, got p={p}")
-    if max_imbalance < 1.0:
-        raise DomainError(f"max_imbalance must be >= 1.0, got {max_imbalance}")
+    if not (1.0 <= max_imbalance < math.inf):
+        raise DomainError(
+            f"max_imbalance must be finite and >= 1.0, got {max_imbalance}"
+        )
     rng = np.random.default_rng(seed)
     labels = np.zeros(g.n, dtype=np.int64)
     if p == 1:

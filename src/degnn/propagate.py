@@ -177,16 +177,6 @@ def _realized_layers(stack, inputs):
         yield m, masks, ys
 
 
-def activation_masks(stack, x):
-    """Per-layer diagonal mask vectors (entries in {slope, 1}) realized on x.
-
-    The masks come from the vectorized pre-activations: entry >= 0 maps to
-    1, negative entries to the slope.
-    """
-    x = as_vector(x, "x")
-    return [masks[0] for _, masks, _ in _realized_layers(stack, x[None, :])]
-
-
 def linearized_map(stack, x):
     """Explicit end-to-end matrix realized by the stack on input vector x.
 

@@ -325,19 +325,6 @@ class RegimeReport:
     regime: str
     bound_per_layer: float
 
-    def to_kv(self):
-        """Flat key=value block (one pair per line), CLI-friendly."""
-        items = [
-            ("sigma_a", repr(self.sigma_a)),
-            ("gamma_a", repr(self.gamma_a)),
-            ("sigma_w", repr(self.sigma_w)),
-            ("gamma_w", repr(self.gamma_w)),
-            ("slope", repr(self.slope)),
-            ("regime", self.regime),
-            ("bound_per_layer", repr(self.bound_per_layer)),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in items) + "\n"
-
 
 def _check_slope(slope):
     slope = float(slope)

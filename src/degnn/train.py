@@ -21,6 +21,12 @@ from .propagate import _write_csv, prelu
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
 DECOMP_SOURCES = ("none", "random", "connectivity_aware")
 
+# per-block split shares; the rest of each block (0.2) is the test split
+TRAIN_FRAC = 0.6
+VAL_FRAC = 0.2
+# redraws of a degenerate block model before generate_sbm gives up
+SBM_RETRIES = 5
+
 
 @dataclass(frozen=True)
 class SBMSpec:
@@ -32,9 +38,6 @@ class SBMSpec:
     p_out: float
     d: int
     noise: float = 0.1
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
 
     def __post_init__(self):
         if self.n < self.b or self.b < 1:
@@ -48,13 +51,10 @@ class SBMSpec:
             raise DomainError(
                 f"feature dim must fit a block one-hot: d={self.d} < b={self.b}"
             )
-        if self.noise < 0.0:
-            raise DomainError("noise scale must be non-negative")
-        total = self.train_frac + self.val_frac + self.test_frac
-        if min(self.train_frac, self.val_frac, self.test_frac) <= 0.0 or abs(
-            total - 1.0
-        ) > 1e-9:
-            raise DomainError("split fractions must be positive and sum to 1")
+        if not (0.0 <= self.noise < np.inf):
+            raise DomainError(
+                f"noise scale must be finite and non-negative, got {self.noise}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +89,15 @@ def _sbm_once(spec, rng):
     for blk in range(spec.b):
         nodes = np.flatnonzero(blocks == blk)
         order = nodes[rng.permutation(len(nodes))]
-        n_tr = int(spec.train_frac * len(nodes))
-        n_val = int(spec.val_frac * len(nodes))
+        n_tr = int(TRAIN_FRAC * len(nodes))
+        n_val = int(VAL_FRAC * len(nodes))
         masks["train"][order[:n_tr]] = True
         masks["val"][order[n_tr : n_tr + n_val]] = True
         masks["test"][order[n_tr + n_val :]] = True
     return edges, blocks, feats, masks
 
 
-def generate_sbm(spec, seed, max_retries=5):
+def generate_sbm(spec, seed):
     """Draw a stochastic block model graph with features and splits.
 
     Retries with a warning (bounded) when a block ends up without any
@@ -105,7 +105,7 @@ def generate_sbm(spec, seed, max_retries=5):
     tiny or extremely sparse configurations.
     """
     rng = np.random.default_rng(seed)
-    for attempt in range(max_retries + 1):
+    for attempt in range(SBM_RETRIES + 1):
         edges, blocks, feats, masks = _sbm_once(spec, rng)
         intra = [0] * spec.b
         for i, j in edges:
@@ -121,7 +121,7 @@ def generate_sbm(spec, seed, max_retries=5):
                 features=feats,
                 masks=masks,
             )
-        if attempt < max_retries:
+        if attempt < SBM_RETRIES:
             warnings.warn(
                 f"degenerate block model draw (attempt {attempt + 1}), retrying"
             )
@@ -157,8 +157,12 @@ class ModelConfig:
         object.__setattr__(self, "k_schedule", sched)
         if not (0.0 < self.slope < 1.0):
             raise DomainError(f"slope must lie in (0, 1), got {self.slope}")
-        if self.lr <= 0.0 or self.weight_decay < 0.0:
-            raise DomainError("lr must be positive, weight_decay non-negative")
+        if not (0.0 < self.lr < np.inf and 0.0 <= self.weight_decay < np.inf):
+            raise DomainError(
+                "lr must be finite and positive, weight_decay finite and "
+                f"non-negative; got lr={self.lr}, "
+                f"weight_decay={self.weight_decay}"
+            )
         if self.max_epochs < 1 or self.patience < 1:
             raise DomainError("max_epochs and patience must be >= 1")
 
@@ -474,23 +478,19 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
     )
 
 
-def _loss_at(cfg, pieces, weights, data):
-    return _forward_loss(cfg, pieces, weights, data)[0]
-
-
 def _sign_pattern(zs):
     return [z >= 0.0 for z in zs]
 
 
 def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
                           source="none", p=4, discount=False,
-                          with_skeleton=True, max_retries=50):
+                          with_skeleton=True):
     """Max relative error between analytic and central-difference gradients.
 
-    Probes random weight entries. A probe is redrawn (bounded) when the
-    base pre-activations sit on the activation kink or when the +/- epsilon
-    evaluations disagree on any activation sign, since the loss is not
-    differentiable across those boundaries.
+    Probes random weight entries. A probe is redrawn, 50 times at most in
+    all, when the base pre-activations sit on the activation kink or when
+    the +/- epsilon evaluations disagree on any activation sign, since the
+    loss is not differentiable across those boundaries.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise DomainError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
@@ -504,7 +504,7 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
     worst = 0.0
     accepted = 0
     tries = 0
-    while accepted < n_probes and tries < n_probes + max_retries:
+    while accepted < n_probes and tries < n_probes + 50:
         tries += 1
         li = int(rng.integers(cfg.depth))
         k = int(rng.integers(len(weights[li])))
@@ -541,27 +541,6 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
     return worst
 
 
-def stable_lr(cfg, data, source="none", seed=0, p=4, start=0.5, max_halvings=20):
-    """A learning rate at which the first step provably reduced the loss.
-
-    Halves a starting rate until one gradient step lowers the training
-    loss, then returns half of that rate again as margin.
-    """
-    pieces, weights = build_model(cfg, data, source=source, seed=seed, p=p)
-    base, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
-    grads = _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob)
-    lr = float(start)
-    for _ in range(max_halvings):
-        stepped = [
-            [w - lr * gw for w, gw in zip(layer, glayer)]
-            for layer, glayer in zip(weights, grads)
-        ]
-        if _loss_at(cfg, pieces, stepped, data) < base:
-            return lr / 2.0
-        lr /= 2.0
-    raise TrainingError("no descending step size found", last_epoch=0)
-
-
 KSWEEP_COLUMNS = ("k", "kind", "seed", "test_acc", "test_mean", "test_std")
 
 _AGGREGATES = {"test_mean": np.mean, "test_median": np.median,
@@ -593,14 +572,15 @@ def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
     k_values = [int(k) for k in k_values]
     if not k_values or min(k_values) < 1:
         raise DomainError("k values must be >= 1")
+    if source == "none" and any(k != 1 for k in k_values):
+        raise DomainError("k values must all be 1 when no decomposition is used")
     # a partition depends on (graph, p, layer seed) only, so every k shares it
     partitions = {}
     rows = []
     for k in k_values:
         cfg_k = replace(cfg, k_schedule=tuple([k] * cfg.depth))
-        src_k = "none" if (k == 1 and source == "none") else source
         rows += _seed_rows(
-            KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=src_k, p=p,
+            KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=source, p=p,
             discount=discount, with_skeleton=with_skeleton,
             partitions=partitions,
         )

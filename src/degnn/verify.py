@@ -26,7 +26,11 @@ from .spectral import gcn_regime, graphcnn_regime, kron_sum_spectrum, svd
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one randomized suite: trials passed and the worst error."""
+    """Outcome of one randomized suite: trials passed and the worst error.
+
+    name is the suite's token, and summary() is the line `degnn verify`
+    prints for it.
+    """
 
     name: str
     passed: int
@@ -87,7 +91,7 @@ def check_linearization(trials=100, seed=0, tol=1e-9):
         err = float(np.max(np.abs(vec(deep) - mapped)))
         max_err = max(max_err, err)
         passed += err < tol
-    return CheckReport("linearization", passed, trials, max_err)
+    return CheckReport("lemma1", passed, trials, max_err)
 
 
 def check_split_spectrum(trials=100, seed=0, tol=1e-8):
@@ -118,7 +122,7 @@ def check_split_spectrum(trials=100, seed=0, tol=1e-8):
         err = float(np.max(np.abs(closed - brute)))
         max_err = max(max_err, err)
         passed += err < tol
-    return CheckReport("split_spectrum", passed, trials, max_err)
+    return CheckReport("lemma3", passed, trials, max_err)
 
 
 def check_kron_identities(trials=100, seed=0, sv_tol=1e-8, vec_tol=1e-10):
@@ -152,7 +156,7 @@ def check_kron_identities(trials=100, seed=0, sv_tol=1e-8, vec_tol=1e-10):
 
         max_err = max(max_err, sv_err, vec_err)
         passed += sv_err < sv_tol and vec_err < vec_tol
-    return CheckReport("kron_identities", passed, trials, max_err)
+    return CheckReport("kron", passed, trials, max_err)
 
 
 def _random_orthogonal(n, rng):
@@ -228,9 +232,11 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
     return CheckReport("regimes", passed, trials, max_err)
 
 
-ALL_CHECKS = {
-    "linearization": check_linearization,
-    "split_spectrum": check_split_spectrum,
-    "kron_identities": check_kron_identities,
+# suite token -> check, in the order `degnn verify` runs them; each check's
+# report carries its token as its name
+SUITES = {
+    "lemma1": check_linearization,
+    "lemma3": check_split_spectrum,
+    "kron": check_kron_identities,
     "regimes": check_regimes,
 }

@@ -143,6 +143,18 @@ def brute_cut(edges, labels):
     return sum(w for (i, j, w) in edges if labels[i] != labels[j])
 
 
+def random_balanced_partition(n, p, seed):
+    """Baseline part labels: a seeded shuffle dealt round-robin.
+
+    Part sizes differ by at most one; the labels carry no structure of any
+    graph, so a partitioner's cut should never be worse.
+    """
+    order = np.random.default_rng(seed).permutation(n)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.arange(n) % p
+    return labels
+
+
 def best_balanced_bipartition_cut(n, edges):
     """Exhaustive minimum cut over perfectly balanced bipartitions.
 

@@ -91,6 +91,15 @@ def test_partition_missing_file_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+def test_partition_nan_max_imbalance_exits_2(tmp_path):
+    edges = _edges_file(tmp_path, n=30, m=60)
+    out = tmp_path / "run"
+    res = _run(["partition", "--edges", str(edges), "--p", "3",
+                "--max-imbalance", "nan", "--out", str(out)])
+    assert res.exit_code == 2
+    assert not out.exists()
+
+
 def test_decompose_connectivity_aware_directory(tmp_path):
     edges = _edges_file(tmp_path)
     out = tmp_path / "dec"
@@ -218,6 +227,20 @@ def test_train_config_file_overrides_flags(tmp_path):
 
 def test_train_conflicting_flags_exit_2():
     res = _run(["train", "--decompose", "none", "--k", "3", *_SBM_FLAGS])
+    assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--noise", "nan"], ""),
+    ([], "lr = nan\n"),
+    ([], "weight_decay = inf\n"),
+], ids=["noise", "lr", "weight_decay"])
+def test_train_non_finite_input_exits_2(tmp_path, flags, line):
+    """A non-finite setting is an input problem, not a diverging run."""
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("backbone = gcn\ndepth = 2\nhidden = 8\n" + line)
+    with np.errstate(all="ignore"):
+        res = _run(["train", "--config", str(cfg), *_SBM_FLAGS, *flags])
     assert res.exit_code == 2
 
 

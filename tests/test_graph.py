@@ -8,22 +8,19 @@ from degnn.graphs import (
     connected_components,
     induced_subgraph,
     load_edge_list,
-    load_features_csv,
     normalized_adjacency,
 )
-from degnn.linalg import kron, unvec, vec
+from degnn.linalg import kron, vec
 
 
 def test_graph_basic():
     g = Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
     assert g.n == 4
     assert g.m == 3
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
     assert g.weight(2, 1) == 2.0
-    assert g.degree(1) == 2
-    assert g.weighted_degree(2) == 5.0
-    assert sorted(g.neighbors(1)) == [0, 2]
+    assert g.neighbors(1) == {0: 1.0, 2: 2.0}
+    with pytest.raises(DomainError):
+        g.weight(0, 2)
     assert g.edge_list() == [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]
 
 
@@ -46,14 +43,6 @@ def test_edge_list_round_trip(tmp_path):
     g = load_edge_list(path)
     assert g.n == 4
     assert g.edge_list() == [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.5)]
-
-
-def test_edge_list_one_indexed(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("1 2\n2 3\n")
-    g = load_edge_list(path, one_indexed=True)
-    assert g.n == 3
-    assert g.has_edge(0, 1) and g.has_edge(1, 2)
 
 
 def test_edge_list_duplicate_last_wins(tmp_path):
@@ -86,20 +75,9 @@ def test_edge_list_parse_errors(tmp_path):
     with pytest.raises(DomainError):
         load_edge_list(path)
 
-    path.write_text("0 5\n")
-    with pytest.raises(DomainError):
-        load_edge_list(path, n=3)
-
-
-def test_features_csv(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    x = load_features_csv(path, n=3)
-    assert x.shape == (3, 2)
-    assert x.dtype == np.float64
-    assert x[2, 1] == 6.0
+    path.write_text("# only a comment\n\n")
     with pytest.raises(ParseError):
-        load_features_csv(path, n=4)
+        load_edge_list(path)
 
 
 def test_adjacency_symmetric():
@@ -121,8 +99,6 @@ def test_normalized_adjacency_known_values():
 
 def test_normalized_adjacency_isolated_node():
     g = Graph(2, [])
-    with pytest.raises(DomainError):
-        normalized_adjacency(g, add_self_loops=False)
     a = normalized_adjacency(g)  # self loops rescue isolated nodes
     assert np.allclose(a, np.eye(2))
 
@@ -141,16 +117,15 @@ def test_induced_subgraph_keeps_weights():
     assert sub.edge_list() == [(0, 1, 2.0), (1, 2, 3.0)]
 
 
-def test_vec_unvec_round_trip():
+def test_vec_stacks_columns():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n, d = rng.integers(1, 9, size=2)
         x = rng.normal(size=(n, d))
         v = vec(x)
         assert v.shape == (n * d,)
-        # columns stack in order
-        assert np.array_equal(v[:n], x[:, 0])
-        assert np.array_equal(unvec(v, n, d), x)
+        for j in range(d):
+            assert np.array_equal(v[j * n:(j + 1) * n], x[:, j])
 
 
 def test_vec_of_matrix_product_identity():

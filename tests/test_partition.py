@@ -13,12 +13,15 @@ from degnn.partition import (
     import_partition,
     multilevel_partition,
     partition_stats,
-    random_balanced_partition,
 )
 from degnn.propagate import gcn_stack
 from degnn.spectral import svd
 from degnn.train import SBMSpec, generate_sbm
-from oracles import best_balanced_bipartition_cut
+from oracles import (
+    best_balanced_bipartition_cut,
+    brute_cut,
+    random_balanced_partition,
+)
 
 
 def _random_graph(n, target_m, rng):
@@ -100,7 +103,7 @@ def test_beats_random_and_respects_balance():
             assert st["imbalance"] <= 1.3 + 1e-9
             assert min(part.sizes()) >= 1
             rnd = random_balanced_partition(g.n, p, seed=trial)
-            assert cut_weight(g, part) <= cut_weight(g, rnd)
+            assert cut_weight(g, part) <= brute_cut(g.edge_list(), rnd)
 
 
 def test_deterministic_under_seed():
@@ -162,6 +165,8 @@ def test_single_part_and_errors():
         multilevel_partition(g, 6, seed=0)
     with pytest.raises(DomainError):
         multilevel_partition(g, 2, seed=0, max_imbalance=0.9)
+    with pytest.raises(DomainError):
+        multilevel_partition(g, 2, seed=0, max_imbalance=float("inf"))
 
 
 def test_import_partition(tmp_path):

@@ -5,10 +5,9 @@ import pytest
 
 from degnn.errors import DomainError
 from degnn.graphs import Graph, normalized_adjacency
-from degnn.linalg import kron, unvec, vec
+from degnn.linalg import kron, vec
 from degnn.propagate import (
     DECAY_COLUMNS,
-    activation_masks,
     decay_curve,
     endtoend_extremes,
     forward,
@@ -120,22 +119,11 @@ def test_linearized_product_acts_on_fresh_inputs_with_same_masks():
     assert np.max(np.abs(product @ x - yv)) == 0.0
 
 
-def test_masks_are_binary_and_match_signs():
-    rng = np.random.default_rng(5)
-    stack = _random_gcn_stack(rng, n=5, d=2, depth=1, slope=0.3)
-    x = rng.normal(size=10)
-    masks = activation_masks(stack, x)
-    assert len(masks) == 1
-    assert set(np.unique(masks[0])) <= {0.3, 1.0}
-    # mixed signs in a generic pre-activation
-    assert 0.3 in masks[0] and 1.0 in masks[0]
-
-
 def test_all_nonnegative_trajectory_gives_identity_masks():
     x = np.abs(np.random.default_rng(6).normal(size=(4, 2)))
     stack = gcn_stack(np.eye(4), [np.eye(2)] * 2)
-    for mask in activation_masks(stack, vec(x)):
-        assert np.all(mask == 1.0)
+    product, _ = linearized_map(stack, vec(x))
+    assert np.array_equal(product, np.eye(8))
 
 
 def test_endtoend_extremes_identity_stack():
@@ -274,8 +262,6 @@ def test_decay_curve_rejects_misshaped_inputs():
     with pytest.raises(DomainError):
         decay_curve(stack, [1, 2], inputs=[good, good.T])
     for short in (np.ones(n * d - 1), np.ones(n * d + 1)):
-        with pytest.raises(DomainError):
-            activation_masks(stack, short)
         with pytest.raises(DomainError):
             linearized_map(stack, short)
     assert len(decay_curve(stack, [1, 2], inputs=[good])) == 2

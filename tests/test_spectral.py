@@ -6,7 +6,6 @@ from degnn.errors import DomainError, NumericError
 from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import kron
 from degnn.spectral import (
-    RegimeReport,
     composite_operator,
     gcn_regime,
     graphcnn_regime,
@@ -165,21 +164,6 @@ def test_graphcnn_regime_single_piece_matches_plain():
     assert abs(comp.sigma_a - plain.sigma_a * plain.sigma_w) < 1e-9
     assert abs(comp.gamma_a - plain.gamma_a * plain.gamma_w) < 1e-9
     assert comp.sigma_w == 1.0 and comp.gamma_w == 1.0
-
-
-def test_report_kv_format():
-    rep = RegimeReport(
-        sigma_a=1.0,
-        gamma_a=0.5,
-        sigma_w=2.0,
-        gamma_w=1.5,
-        slope=0.2,
-        regime="indeterminate",
-        bound_per_layer=2.0,
-    )
-    lines = rep.to_kv().strip().splitlines()
-    assert "regime=indeterminate" in lines
-    assert lines[0] == "sigma_a=1.0"
 
 
 def test_svd_handles_tiny_and_huge_scales():

@@ -22,7 +22,6 @@ from degnn.train import (
     generate_sbm,
     k_sweep,
     load_model_config,
-    stable_lr,
     train,
     write_history_csv,
     write_rows_csv,
@@ -83,7 +82,7 @@ def test_sbm_degenerate_draw_warns_then_fails():
     spec = SBMSpec(n=4, b=4, p_in=0.5, p_out=0.0, d=4)
     with pytest.warns(UserWarning, match="degenerate"):
         with pytest.raises(DomainError, match="retry budget"):
-            generate_sbm(spec, seed=0, max_retries=2)
+            generate_sbm(spec, seed=0)
 
 
 def test_sbm_spec_validation():
@@ -92,8 +91,7 @@ def test_sbm_spec_validation():
     with pytest.raises(DomainError):
         SBMSpec(n=10, b=4, p_in=0.5, p_out=0.1, d=2)
     with pytest.raises(DomainError):
-        SBMSpec(n=10, b=2, p_in=0.5, p_out=0.1, d=4, train_frac=0.5,
-                val_frac=0.5, test_frac=0.5)
+        SBMSpec(n=10, b=2, p_in=0.5, p_out=0.1, d=4, noise=float("inf"))
     with pytest.raises(DomainError):
         SBMSpec(n=1, b=2, p_in=0.5, p_out=0.1, d=4)
 
@@ -111,6 +109,10 @@ def test_model_config_validation():
         _cfg(slope=1.0)
     with pytest.raises(DomainError):
         _cfg(lr=0.0)
+    with pytest.raises(DomainError):
+        _cfg(lr=float("inf"))
+    with pytest.raises(DomainError):
+        _cfg(weight_decay=float("nan"))
     cfg = _cfg(k_schedule=[2.0, 3.0])
     assert cfg.k_schedule == (2, 3)
 
@@ -230,36 +232,6 @@ def test_early_stopping_respects_patience():
     assert isinstance(res, TrainResult)
 
 
-def test_stable_lr_step_reduces_loss():
-    """The doubled returned rate is the one that was verified to descend."""
-    from degnn.train import (_backward_pass, _forward_pass, _loss_and_prob,
-                             _loss_at)
-
-    cfg = _cfg()
-    lr = stable_lr(cfg, _MIXED, seed=0)
-    assert lr > 0.0
-    pieces, weights = build_model(cfg, _MIXED, seed=0)
-    base = _loss_at(cfg, pieces, weights, _MIXED)
-    ys, zs, ins = _forward_pass(cfg, pieces, weights, _MIXED.features)
-    _, prob = _loss_and_prob(cfg, weights, ys[-1], _MIXED.labels,
-                             _MIXED.masks["train"])
-    grads = _backward_pass(cfg, pieces, weights, _MIXED, ys, zs, ins, prob)
-    stepped = [[w - 2.0 * lr * gw for w, gw in zip(layer, glayer)]
-               for layer, glayer in zip(weights, grads)]
-    assert _loss_at(cfg, pieces, stepped, _MIXED) < base
-
-
-def test_stable_lr_loss_monotone_early():
-    """At the probed rate the train loss never rises over the first epochs."""
-    for seed in range(3):
-        lr = stable_lr(_cfg(), _CLEAN, seed=seed)
-        cfg = _cfg(lr=lr, max_epochs=12, patience=12)
-        result = train(cfg, _CLEAN, source="none", seed=seed)
-        head = result.train_loss[:10]
-        for prev, cur in zip(head, head[1:]):
-            assert cur <= prev + 1e-12
-
-
 def test_gradients_match_finite_differences():
     """Central differences agree with the analytic gradients off the kink."""
     combos = [
@@ -353,6 +325,16 @@ def test_k_sweep_rows_and_aggregates():
         k_sweep(cfg, _MIXED, k_values=[], seeds=[0])
     with pytest.raises(DomainError):
         k_sweep(cfg, _MIXED, k_values=[0], seeds=[0])
+
+
+def test_k_sweep_without_decomposition_rejects_k_before_training(monkeypatch):
+    """source none with a k other than 1 fails before any cell trains."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() was called")
+
+    monkeypatch.setattr(degnn.train, "train", no_training)
+    with pytest.raises(DomainError, match="all be 1"):
+        k_sweep(_cfg(), _MIXED, k_values=[1, 2], seeds=[0], source="none")
 
 
 def test_depth_sweep_rows_and_aggregates():
