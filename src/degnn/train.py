@@ -26,6 +26,8 @@ TRAIN_FRAC = 0.6
 VAL_FRAC = 0.2
 # redraws of a degenerate block model before generate_sbm gives up
 SBM_RETRIES = 5
+# uniform draws per row block of the block-model sampler
+SBM_DRAW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,33 @@ class NodeData:
     masks: dict
 
 
+def _sbm_edges(blocks, spec, rng):
+    """Upper-triangle hits of one n x n uniform draw, in row-major order.
+
+    The draw comes in blocks of about SBM_DRAW_CELLS cells (at least one
+    row). Consecutive row blocks consume the generator's stream exactly as
+    one (n, n) draw would, so the edges and every later draw are the same,
+    without an n x n array.
+    """
+    n = spec.n
+    step = max(1, SBM_DRAW_CELLS // n)
+    cols = np.arange(n)
+    hits_i, hits_j = [], []
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        prob = np.where(blocks[rows, None] == blocks[None, :], spec.p_in,
+                        spec.p_out)
+        hit = (rng.random((len(rows), n)) < prob) & (cols > rows[:, None])
+        i, j = np.nonzero(hit)
+        hits_i.append(rows[i])
+        hits_j.append(j)
+    return list(zip(np.concatenate(hits_i).tolist(),
+                    np.concatenate(hits_j).tolist()))
+
+
 def _sbm_once(spec, rng):
     blocks = np.repeat(np.arange(spec.b), -(-spec.n // spec.b))[: spec.n]
-    prob = np.where(
-        blocks[:, None] == blocks[None, :], spec.p_in, spec.p_out
-    )
-    draw = rng.random((spec.n, spec.n))
-    iu, ju = np.triu_indices(spec.n, k=1)
-    hit = draw[iu, ju] < prob[iu, ju]
-    edges = list(zip(iu[hit].tolist(), ju[hit].tolist()))
+    edges = _sbm_edges(blocks, spec, rng)
 
     feats = np.zeros((spec.n, spec.d))
     feats[np.arange(spec.n), blocks] = 1.0

@@ -77,6 +77,29 @@ def test_sbm_zero_crossing_prob_disconnects_blocks():
         assert _CLEAN.labels[i] == _CLEAN.labels[j]
 
 
+def test_sbm_row_blocks_match_one_dense_draw(monkeypatch):
+    """Any row-block size gives the edges and features of one (n, n) draw."""
+    def dense_reference(spec, seed):
+        rng = np.random.default_rng(seed)
+        blocks = np.repeat(np.arange(spec.b), -(-spec.n // spec.b))[: spec.n]
+        prob = np.where(blocks[:, None] == blocks[None, :], spec.p_in,
+                        spec.p_out)
+        draw = rng.random((spec.n, spec.n))
+        iu, ju = np.triu_indices(spec.n, k=1)
+        hit = draw[iu, ju] < prob[iu, ju]
+        feats = np.zeros((spec.n, spec.d))
+        feats[np.arange(spec.n), blocks] = 1.0
+        feats += spec.noise * rng.normal(size=(spec.n, spec.d))
+        return list(zip(iu[hit].tolist(), ju[hit].tolist())), feats
+
+    want_edges, want_feats = dense_reference(_MIXED_SPEC, 3)
+    for cells in (1, 200, 1 << 16):
+        monkeypatch.setattr(degnn.train, "SBM_DRAW_CELLS", cells)
+        data = generate_sbm(_MIXED_SPEC, seed=3)
+        assert [e[:2] for e in data.graph.edge_list()] == want_edges
+        assert np.array_equal(data.features, want_feats)
+
+
 def test_sbm_degenerate_draw_warns_then_fails():
     """Single-node blocks can never host an internal edge."""
     spec = SBMSpec(n=4, b=4, p_in=0.5, p_out=0.0, d=4)
