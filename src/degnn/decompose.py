@@ -259,7 +259,10 @@ def piece_matrices(g, d, discount=False):
 
     Entries come from the symmetrically normalized matrix of the whole graph
     (self loops included), masked to each piece; every piece shares the
-    self-loop diagonal.
+    self-loop diagonal. For certificates and tests only: each matrix is
+    n x n, so this is sized for small graphs. The trainer builds the same
+    pieces sparsely (train.PieceOperator), and the tests use this function
+    as its oracle.
 
     discount divides the shared entries (skeleton edges and the self-loop
     diagonal) by k in every piece so the pieces sum to the whole-graph

@@ -214,8 +214,8 @@ def quantized_entropy(samples, epsilon):
     if not np.all(np.isfinite(samples)):
         raise DomainError("samples must be finite")
     epsilon = float(epsilon)
-    if not (epsilon > 0.0):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (0.0 < epsilon < np.inf):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     # +0.0 folds -0.0 into 0.0 so the byte view is canonical
     q = np.trunc(samples / epsilon) + 0.0
     distinct = len({row.tobytes() for row in q})

@@ -6,6 +6,12 @@ against central differences. Four backbones share one propagation core
 (sum over pieces of A_k H W_k); they differ only in how each layer's input
 is assembled (previous output, residual add, concatenation of earlier
 outputs, or a jumping concatenation before the classifier).
+
+The core is PieceOperator: each layer's pieces are one sparse entry list
+built from the decomposition's edges, with the diagonal and skeleton that
+all pieces share stored once. A pass costs O(nnz * width) time and memory
+for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), so
+no n x n array is ever formed and Pubmed-sized graphs train in memory.
 """
 
 import warnings
@@ -13,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import layer_decompositions, piece_matrices
+from .decompose import layer_decompositions
 from .errors import DomainError, ParseError, TrainingError
-from .graphs import Graph, normalized_adjacency
+from .graphs import Graph, normalized_values
 from .propagate import _write_csv, prelu
 
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
@@ -169,6 +175,8 @@ class ModelConfig:
             raise DomainError(f"unknown backbone {self.backbone!r}")
         if self.depth < 2:
             raise DomainError(f"depth must be >= 2, got {self.depth}")
+        if self.hidden < 1:
+            raise DomainError(f"hidden width must be >= 1, got {self.hidden}")
         sched = tuple(int(k) for k in self.k_schedule)
         if len(sched) != self.depth or any(k < 1 for k in sched):
             raise DomainError(
@@ -288,9 +296,118 @@ def _init_weights(cfg, in_dim, n_classes, rng):
     return weights
 
 
-def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
-                  partitions):
-    """Per-layer piece propagation matrices for the requested decomposition."""
+class PieceOperator:
+    """One layer's propagation H -> sum_k A_k H W_k over a sparse entry list.
+
+    Every piece A_k holds the self-loop diagonal and the skeleton edges of
+    the normalized whole-graph matrix, plus its own residual edges. The
+    shared entries are stored once, in an extra slot that multiplies
+    H (sum_k W_k), and each piece's residual edges in slot k. With one piece
+    there is nothing to share, so all entries sit in slot 0. An entry e adds
+    vals[e] * (H V_slot)[col] to its row, where V_k = W_k and V_shared is
+    the sum of the W_k.
+
+    Entries are sorted by (row, slot, col), the order in which each output
+    sums them. Both passes gather `width` features per entry into one
+    buffer that is allocated once and reused, so an operator is not safe to
+    call from two threads at a time; a bincount over precomputed keys then
+    sums the products per row (forward) or per (row, slot) (backward).
+    """
+
+    def __init__(self, n, k, rows, cols, slots, vals, width):
+        order = np.lexsort((cols, slots, rows))
+        rows, cols, slots = rows[order], cols[order], slots[order]
+        self.n = n
+        self.k = k
+        self.slots = k + 1 if k > 1 else 1
+        self.vals = vals[order][:, None]
+        self.cols = cols
+        # row c * slots + s of (H V_0 | ... | H V_shared), viewed as
+        # (n * slots, width), is row c of H V_s
+        self.stacked_cols = cols * self.slots + slots
+        lanes = np.arange(width)
+        self.row_keys = (rows[:, None] * width + lanes).ravel()
+        self.run_keys = (
+            (rows * self.slots + slots)[:, None] * width + lanes).ravel()
+        self.buf = np.empty((len(order), width))
+
+    def _stacked(self, weights):
+        """(V_0 | ... | V_shared): columns s * width .. of V_s, side by side."""
+        vs = list(weights) + ([sum(weights)] if self.k > 1 else [])
+        return np.concatenate(vs, axis=1)
+
+    def _gather(self, src, rows):
+        """buf = vals * src[rows], src having `width` columns."""
+        np.take(src, rows, axis=0, out=self.buf, mode="clip")
+        self.buf *= self.vals
+
+    def forward(self, h, weights):
+        """sum_k A_k h W_k as an (n, width) array."""
+        width = self.buf.shape[1]
+        hv = h @ self._stacked(weights)
+        self._gather(hv.reshape(-1, width), self.stacked_cols)
+        out = np.bincount(self.row_keys, self.buf.ravel(), self.n * width)
+        return out.reshape(self.n, width)
+
+    def backward(self, h, dz, weights):
+        """(d loss / d h, [d loss / d W_k]) given dz = d loss / d output.
+
+        The pieces are symmetric, so A_k^T dz = A_k dz comes from the same
+        gather as the forward pass, summed per (row, slot): column block s
+        of u is (slot s's matrix) @ dz.
+        """
+        width = self.buf.shape[1]
+        self._gather(dz, self.cols)
+        u = np.bincount(self.run_keys, self.buf.ravel(),
+                        self.n * self.slots * width)
+        u = u.reshape(self.n, self.slots * width)
+        d_h = u @ self._stacked(weights).T
+        g = h.T @ u
+        grads = [g[:, s * width:(s + 1) * width] for s in range(self.k)]
+        if self.k > 1:
+            grads = [g_k + g[:, self.k * width:] for g_k in grads]
+        return d_h, grads
+
+
+def _edge_arrays(triples):
+    """(i, j, w) arrays of a sequence of (i, j, w) triples."""
+    a = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    return a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]
+
+
+def _piece_operator(g, k, skeleton, residuals, discount, width):
+    """PieceOperator of k pieces: shared skeleton plus one residual per piece.
+
+    skeleton and each of the k residuals are (i, j, w) arrays of edges with
+    i < j. discount divides the shared entries (skeleton and diagonal) by k,
+    so the pieces sum to the whole-graph matrix again.
+    """
+    n = g.n
+    diag = np.arange(n)
+    shared_slot = k if k > 1 else 0
+    upper = [skeleton, *residuals]
+    i = np.concatenate([diag] + [e[0] for e in upper])
+    j = np.concatenate([diag] + [e[1] for e in upper])
+    w = np.concatenate([np.ones(n)] + [e[2] for e in upper])
+    slots = np.repeat([shared_slot, shared_slot, *range(k)],
+                      [n] + [len(e[0]) for e in upper])
+    vals = normalized_values(g, i, j, w)
+    if discount:
+        shared = slice(0, n + len(skeleton[0]))
+        vals[shared] = vals[shared] / k
+    # the diagonal once, each edge in both triangles with the same value
+    off = slice(n, None)
+    return PieceOperator(n, k, np.r_[i, j[off]], np.r_[j, i[off]],
+                         np.r_[slots, slots[off]], np.r_[vals, vals[off]],
+                         width)
+
+
+def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
+                     partitions, widths):
+    """One PieceOperator per layer for the requested decomposition.
+
+    widths holds each layer's output width, the rows every gather moves.
+    """
     if source not in DECOMP_SOURCES:
         raise DomainError(f"unknown decomposition source {source!r}")
     g = data.graph
@@ -299,16 +416,25 @@ def _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
             raise DomainError(
                 "k_schedule must be all ones when no decomposition is used"
             )
-        base = normalized_adjacency(g)
-        return [[base] for _ in range(cfg.depth)]
+        no_skeleton = _edge_arrays(())
+        return [_piece_operator(g, 1, no_skeleton, [g.edge_arrays()], False,
+                                width) for width in widths]
     decs = layer_decompositions(
         g, cfg.k_schedule, source, p=p, seed=seed, with_skeleton=with_skeleton,
         partitions=partitions,
     )
-    return [
-        piece_matrices(g, d, discount=discount)
-        for d in decs
-    ]
+    ops = []
+    for d, width in zip(decs, widths):
+        skeleton = _edge_arrays(d.skeleton)
+        skeleton_keys = skeleton[0] * g.n + skeleton[1]
+        residuals = []
+        for piece in d.pieces:
+            i, j, w = _edge_arrays(piece)
+            own = ~np.isin(i * g.n + j, skeleton_keys)
+            residuals.append((i[own], j[own], w[own]))
+        ops.append(_piece_operator(g, d.k, skeleton, residuals, discount,
+                                   width))
+    return ops
 
 
 def _layer_input(cfg, ys, i):
@@ -319,7 +445,7 @@ def _layer_input(cfg, ys, i):
     return np.concatenate([ys[j] for j in src], axis=1)
 
 
-def _forward_pass(cfg, pieces, weights, x):
+def _forward_pass(cfg, ops, weights, x):
     """All layer outputs plus the cached pre-activations and inputs."""
     ys = [x]
     zs = []
@@ -327,10 +453,7 @@ def _forward_pass(cfg, pieces, weights, x):
     L = cfg.depth
     for i in range(1, L + 1):
         h_in = _layer_input(cfg, ys, i)
-        z = None
-        for a_k, w_k in zip(pieces[i - 1], weights[i - 1]):
-            term = a_k @ h_in @ w_k
-            z = term if z is None else z + term
+        z = ops[i - 1].forward(h_in, weights[i - 1])
         y = z if i == L else prelu(z, cfg.slope)
         if _residual(cfg, i):
             y = y + ys[i - 1]
@@ -352,16 +475,16 @@ def _loss_and_prob(cfg, weights, logits, labels, mask):
     return _masked_ce(prob, labels, mask) + 0.5 * cfg.weight_decay * l2, prob
 
 
-def _forward_loss(cfg, pieces, weights, data):
+def _forward_loss(cfg, ops, weights, data):
     """(train loss, class probabilities, ys, zs, ins) of one forward pass."""
-    ys, zs, ins = _forward_pass(cfg, pieces, weights, data.features)
+    ys, zs, ins = _forward_pass(cfg, ops, weights, data.features)
     loss, prob = _loss_and_prob(
         cfg, weights, ys[-1], data.labels, data.masks["train"]
     )
     return loss, prob, ys, zs, ins
 
 
-def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
+def _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob):
     """Gradients of the masked cross-entropy + L2 loss w.r.t. every weight."""
     labels, mask = data.labels, data.masks["train"]
     n_train = int(mask.sum())
@@ -374,7 +497,7 @@ def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
 
     dys = [None] * (L + 1)
     dys[L] = d_logits
-    grads = [[np.zeros_like(w) for w in layer] for layer in weights]
+    grads = [None] * L
 
     def add_dy(idx, val):
         dys[idx] = val if dys[idx] is None else dys[idx] + val
@@ -388,13 +511,8 @@ def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
             dz = dy * gate
             if _residual(cfg, i):
                 add_dy(i - 1, dy)
-        h_in = ins[i - 1]
-        d_in = None
-        for k, (a_k, w_k) in enumerate(zip(pieces[i - 1], weights[i - 1])):
-            at_dz = a_k.T @ dz
-            grads[i - 1][k] += h_in.T @ at_dz
-            term = at_dz @ w_k.T
-            d_in = term if d_in is None else d_in + term
+        d_in, grads[i - 1] = ops[i - 1].backward(ins[i - 1], dz,
+                                                 weights[i - 1])
         # route the input gradient back to the outputs that built the input
         offset = 0
         for j in _sources(cfg, i):
@@ -402,10 +520,8 @@ def _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob):
             add_dy(j, d_in[:, offset : offset + width])
             offset += width
 
-    for li, layer in enumerate(weights):
-        for k, w in enumerate(layer):
-            grads[li][k] += cfg.weight_decay * w
-    return grads
+    return [[g + cfg.weight_decay * w for g, w in zip(glayer, layer)]
+            for glayer, layer in zip(grads, weights)]
 
 
 def _accuracy(prob, labels, mask):
@@ -420,18 +536,19 @@ def _masked_ce(prob, labels, mask):
 
 def build_model(cfg, data, source="none", seed=0, p=4, discount=False,
                 with_skeleton=True, partitions=None):
-    """(per-layer pieces, init weights) for a config on a dataset.
+    """(per-layer PieceOperators, init weights) for a config on a dataset.
 
     partitions is the optional partition cache that
     connectivity_aware_decompose shares across calls on data.graph.
     """
     n_classes = int(data.labels.max()) + 1
     in_dim = data.features.shape[1]
-    pieces = _build_pieces(cfg, data, source, seed, p, discount, with_skeleton,
-                           partitions)
+    widths = [fan_out for _, fan_out in _layer_dims(cfg, in_dim, n_classes)]
+    ops = _build_operators(cfg, data, source, seed, p, discount,
+                           with_skeleton, partitions, widths)
     rng = np.random.default_rng(seed)
     weights = _init_weights(cfg, in_dim, n_classes, rng)
-    return pieces, weights
+    return ops, weights
 
 
 def train(cfg, data, source="none", seed=0, p=4, discount=False,
@@ -443,7 +560,7 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
     partitions is build_model's optional partition cache; it changes no
     result, only how often data.graph is partitioned.
     """
-    pieces, weights = build_model(
+    ops, weights = build_model(
         cfg, data, source=source, seed=seed, p=p, discount=discount,
         with_skeleton=with_skeleton, partitions=partitions,
     )
@@ -457,7 +574,7 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
     # intermediate warnings on a diverging run are redundant noise
     with np.errstate(all="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            loss, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
+            loss, prob, ys, zs, ins = _forward_loss(cfg, ops, weights, data)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"training loss became non-finite at epoch {epoch}",
@@ -481,7 +598,7 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
                     break
 
             grads = _backward_pass(
-                cfg, pieces, weights, data, ys, zs, ins, prob
+                cfg, ops, weights, data, ys, zs, ins, prob
             )
             for layer, glayer in zip(weights, grads):
                 for w, gw in zip(layer, glayer):
@@ -514,12 +631,12 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise DomainError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    pieces, weights = build_model(
+    ops, weights = build_model(
         cfg, data, source=source, seed=seed, p=p, discount=discount,
         with_skeleton=with_skeleton,
     )
-    _, prob, ys, zs, ins = _forward_loss(cfg, pieces, weights, data)
-    grads = _backward_pass(cfg, pieces, weights, data, ys, zs, ins, prob)
+    _, prob, ys, zs, ins = _forward_loss(cfg, ops, weights, data)
+    grads = _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     accepted = 0
@@ -534,9 +651,9 @@ def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
 
         orig = w[i, j]
         w[i, j] = orig + epsilon
-        lp, _, _, zp, _ = _forward_loss(cfg, pieces, weights, data)
+        lp, _, _, zp, _ = _forward_loss(cfg, ops, weights, data)
         w[i, j] = orig - epsilon
-        lm, _, _, zm, _ = _forward_loss(cfg, pieces, weights, data)
+        lm, _, _, zm, _ = _forward_loss(cfg, ops, weights, data)
         w[i, j] = orig
 
         flipped = any(

@@ -188,6 +188,16 @@ def test_decay_impossible_sigma_w_exits_2(tmp_path, sigma_w):
     assert not out.exists()
 
 
+def test_decay_infinite_epsilon_exits_2(tmp_path):
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "run"
+    res = _run(["decay", "--edges", str(edges), "--depths", "1..2",
+                "--epsilon", "inf", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "epsilon must be finite" in res.output
+    assert not out.exists()
+
+
 def test_train_writes_history_and_summary(tmp_path):
     out = tmp_path / "run"
     res = _run(["train", "--backbone", "gcn", "--depth", "2",
@@ -242,6 +252,15 @@ def test_train_non_finite_input_exits_2(tmp_path, flags, line):
     with np.errstate(all="ignore"):
         res = _run(["train", "--config", str(cfg), *_SBM_FLAGS, *flags])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("hidden", ["0", "-3"])
+def test_train_empty_hidden_width_exits_2(tmp_path, hidden):
+    out = tmp_path / "run"
+    res = _run(["train", "--hidden", hidden, *_SBM_FLAGS, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "hidden width must be >= 1" in res.output
+    assert not out.exists()
 
 
 def test_train_divergent_config_exits_3(tmp_path):

@@ -138,8 +138,9 @@ def test_quantized_entropy_counts():
     # all samples collapse inside one epsilon cell
     tiny = np.array([[1e-9, -1e-9], [5e-10, 0.0], [0.0, 9e-10]])
     assert quantized_entropy(tiny, 1e-6) == 0.0
-    with pytest.raises(DomainError):
-        quantized_entropy(vs, 0.0)
+    for epsilon in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            quantized_entropy(vs, epsilon)
     with pytest.raises(DomainError):
         quantized_entropy(np.zeros((0, 2)), 1.0)
 

@@ -1,14 +1,16 @@
 """Tests for the block-model generator and the manual-gradient trainer."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import degnn.decompose
 import degnn.train
+from degnn.decompose import layer_decompositions, piece_matrices
 from degnn.errors import DomainError, ParseError, TrainingError
-from degnn.graphs import connected_components
+from degnn.graphs import connected_components, normalized_adjacency
 from degnn.train import (
     DEPTHSWEEP_COLUMNS,
     HISTORY_COLUMNS,
@@ -128,6 +130,10 @@ def test_model_config_validation():
         _cfg(k_schedule=(1, 1, 1))
     with pytest.raises(DomainError):
         _cfg(k_schedule=(1, 0))
+    with pytest.raises(DomainError):
+        _cfg(hidden=0)
+    with pytest.raises(DomainError):
+        _cfg(hidden=-3)
     with pytest.raises(DomainError):
         _cfg(slope=1.0)
     with pytest.raises(DomainError):
@@ -319,16 +325,82 @@ def test_forward_wiring_matches_spelled_out_depth5():
                           k_schedule=(2, 2, 2, 2, 2))
         dims = _layer_dims(cfg, in_dim, n_classes)
         assert dims == list(zip(fans, [h, h, h, h, n_classes]))
-        pieces, weights = build_model(cfg, _MIXED, source="random", seed=2,
-                                      p=4)
+        ops, weights = build_model(cfg, _MIXED, source="random", seed=2, p=4)
         assert [w[0].shape for w in weights] == dims
-        ys, zs, ins = _forward_pass(cfg, pieces, weights, _MIXED.features)
+        ys, zs, ins = _forward_pass(cfg, ops, weights, _MIXED.features)
+        pieces = [piece_matrices(_MIXED.graph, d) for d in layer_decompositions(
+            _MIXED.graph, cfg.k_schedule, "random", p=4, seed=2)]
         ref_ys, ref_ins = _reference_depth5(backbone, pieces, weights,
                                             _MIXED.features, cfg.slope)
         assert len(ys) == 6 and len(zs) == 5 and len(ins) == 5
         for got, want in zip(ys + ins, ref_ys + ref_ins):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.array_equal(zs[-1], ys[-1])
+
+
+def _assert_close(got, want):
+    """Agreement to 1e-12 relative to the largest entry of want."""
+    err = np.max(np.abs(got - want))
+    assert err <= 1e-12 * np.max(np.abs(want)), err
+
+
+@pytest.mark.parametrize("with_skeleton", [True, False],
+                         ids=["skeleton", "no_skeleton"])
+@pytest.mark.parametrize("discount", [False, True],
+                         ids=["plain", "discount"])
+@pytest.mark.parametrize("source", ["none", "random", "connectivity_aware"])
+def test_piece_operator_matches_dense_pieces(source, discount, with_skeleton):
+    """Forward output and every A_k dz agree with the dense piece matrices."""
+    g, n = _MIXED.graph, _MIXED.graph.n
+    k = 1 if source == "none" else 3
+    cfg = _cfg(hidden=4, k_schedule=(k, k))
+    ops, weights = build_model(cfg, _MIXED, source=source, seed=1, p=4,
+                               discount=discount, with_skeleton=with_skeleton)
+    if source == "none":
+        dense = [[normalized_adjacency(g)]] * cfg.depth
+    else:
+        dense = [piece_matrices(g, d, discount=discount)
+                 for d in layer_decompositions(
+                     g, cfg.k_schedule, source, p=4, seed=1,
+                     with_skeleton=with_skeleton)]
+    rng = np.random.default_rng(0)
+    for op, pieces, layer in zip(ops, dense, weights):
+        fan_in, width = layer[0].shape
+        h = rng.normal(size=(n, fan_in))
+        _assert_close(op.forward(h, layer),
+                      sum(a @ h @ w for a, w in zip(pieces, layer)))
+        dz = rng.normal(size=(n, width))
+        d_h, grads = op.backward(h, dz, layer)
+        _assert_close(d_h, sum(a @ dz @ w.T for a, w in zip(pieces, layer)))
+        # with h = I the weight gradients are the products A_k dz themselves
+        eye_layer = [rng.normal(size=(n, width)) for _ in range(k)]
+        _, a_dz = op.backward(np.eye(n), dz, eye_layer)
+        assert len(a_dz) == k
+        for a, got in zip(pieces, a_dz):
+            _assert_close(got, a @ dz)
+
+
+def test_model_memory_stays_below_one_dense_piece():
+    """Build, forward and backward at n=3000, K=4, depth 6 hold no n x n array.
+
+    The graph has a Pubmed-like average degree of about 4.5. One dense
+    piece alone would take n * n * 8 bytes = 72 MB.
+    """
+    from degnn.train import _backward_pass, _forward_loss
+
+    spec = SBMSpec(n=3000, b=10, p_in=0.013, p_out=0.0002, d=16)
+    data = generate_sbm(spec, seed=0)
+    cfg = ModelConfig(backbone="gcn", depth=6, hidden=16,
+                      k_schedule=(4,) * 6)
+    tracemalloc.start()
+    try:
+        ops, weights = build_model(cfg, data, source="random", seed=0)
+        _, prob, ys, zs, ins = _forward_loss(cfg, ops, weights, data)
+        _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.n * spec.n * 8, peak
 
 
 def test_k_sweep_rows_and_aggregates():
