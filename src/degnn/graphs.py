@@ -4,11 +4,11 @@ The Graph type is the package currency for every structural operation. Edges
 are canonical (i, j) pairs with i < j and positive finite weights; both a
 sorted edge list and a per-node adjacency view are kept so dense-matrix code
 and the partition/decomposition passes can each use the natural
-representation, and edge arrays are built on first use for vectorized code
-such as the trainer's sparse propagation. Measured scale: one multilevel_partition of a 10-block
-planted graph with n=20,000 and m=88,000 into p=16 parts takes 24-34 s of
-CPU and peaks at about 180 MB RSS, on one core of a shared 2-core Intel
-Xeon host.
+representation. Edge arrays for vectorized code, such as the trainer's
+sparse propagation, are built on first use. Measured scale: one
+multilevel_partition of a 10-block planted graph with n=20,000 and m=88,000
+into p=16 parts takes 24-34 s of CPU and peaks at about 180 MB RSS, on one
+core of a shared 2-core Intel Xeon host.
 """
 
 import warnings
@@ -30,7 +30,8 @@ class Graph:
         to 1.0 and must be finite and positive. Self-loops and duplicate
         pairs are rejected here; file loading deduplicates before calling.
 
-    Treat instances as frozen: no method mutates state after __init__.
+    Treat instances as frozen: after __init__ no method changes the graph;
+    edge_arrays only caches a view of it.
     """
 
     __slots__ = ("n", "_edges", "_weights", "_adj", "_arrays")

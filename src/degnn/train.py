@@ -10,8 +10,10 @@ outputs, or a jumping concatenation before the classifier).
 The core is PieceOperator: each layer's pieces are one sparse entry list
 built from the decomposition's edges, with the diagonal and skeleton that
 all pieces share stored once. A pass costs O(nnz * width) time and memory
-for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), so
-no n x n array is ever formed and Pubmed-sized graphs train in memory.
+for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), and
+no n x n array is ever formed. Measured on a shared 2-core Intel Xeon host:
+a 20,000-node block model of average degree 4.5 trains a depth-8, K=5 gcn
+at about 0.32 s an epoch, with the train command peaking under 500 MB RSS.
 """
 
 import warnings
@@ -311,7 +313,9 @@ class PieceOperator:
     sums them. Both passes gather `width` features per entry into one
     buffer that is allocated once and reused, so an operator is not safe to
     call from two threads at a time; a bincount over precomputed keys then
-    sums the products per row (forward) or per (row, slot) (backward).
+    sums the products per row (forward) or per (row, slot) (backward). The
+    buffer and the two key arrays hold nnz * width entries each, the rest
+    of the operator a few arrays of length nnz.
     """
 
     def __init__(self, n, k, rows, cols, slots, vals, width):

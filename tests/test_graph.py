@@ -9,6 +9,8 @@ from degnn.graphs import (
     induced_subgraph,
     load_edge_list,
     normalized_adjacency,
+    normalized_values,
+    self_looped_degrees,
 )
 from degnn.linalg import kron, vec
 
@@ -101,6 +103,26 @@ def test_normalized_adjacency_isolated_node():
     g = Graph(2, [])
     a = normalized_adjacency(g)  # self loops rescue isolated nodes
     assert np.allclose(a, np.eye(2))
+
+
+def test_normalized_values_match_dense_matrix():
+    """Weighted degrees and entries agree with the dense normalization."""
+    g = Graph(5, [(0, 1, 0.3), (1, 2, 2.0), (0, 2, 1.7), (2, 3, 0.1)])
+    i, j, w = g.edge_arrays()
+    assert i.tolist() == [0, 0, 1, 2] and j.tolist() == [1, 2, 2, 3]
+    assert w.tolist() == [0.3, 1.7, 2.0, 0.1]
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    dense = adjacency(g) + np.eye(5)
+    assert np.allclose(self_looped_degrees(g), dense.sum(axis=1),
+                       rtol=1e-15, atol=0.0)
+    want = normalized_adjacency(g)
+    np.testing.assert_allclose(normalized_values(g, i, j, w), want[i, j],
+                               rtol=1e-15, atol=0.0)
+    diag = np.arange(5)
+    np.testing.assert_allclose(normalized_values(g, diag, diag, 1.0),
+                               np.diag(want), rtol=1e-15, atol=0.0)
+    assert normalized_values(g, diag, diag, 1.0)[4] == 1.0  # isolated node
 
 
 def test_connected_components_labels_first_seen():
