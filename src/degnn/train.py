@@ -420,9 +420,13 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
             raise DomainError(
                 "k_schedule must be all ones when no decomposition is used"
             )
+        # every layer propagates with the same matrix, so layers of one
+        # width share one operator
         no_skeleton = _edge_arrays(())
-        return [_piece_operator(g, 1, no_skeleton, [g.edge_arrays()], False,
-                                width) for width in widths]
+        by_width = {width: _piece_operator(g, 1, no_skeleton,
+                                           [g.edge_arrays()], False, width)
+                    for width in set(widths)}
+        return [by_width[width] for width in widths]
     decs = layer_decompositions(
         g, cfg.k_schedule, source, p=p, seed=seed, with_skeleton=with_skeleton,
         partitions=partitions,
