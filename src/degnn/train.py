@@ -316,6 +316,11 @@ class PieceOperator:
     sums the products per row (forward) or per (row, slot) (backward). The
     buffer and the two key arrays hold nnz * width entries each, the rest
     of the operator a few arrays of length nnz.
+
+    The first layer always reads the same features, so fix_input propagates
+    them once per slot: calls whose input is that array (by identity) then
+    need only dense products of n rows, and every other input takes the
+    gather path.
     """
 
     def __init__(self, n, k, rows, cols, slots, vals, width):
@@ -331,14 +336,30 @@ class PieceOperator:
         self.stacked_cols = cols * self.slots + slots
         lanes = np.arange(width)
         self.row_keys = (rows[:, None] * width + lanes).ravel()
-        self.run_keys = (
-            (rows * self.slots + slots)[:, None] * width + lanes).ravel()
+        self.runs = rows * self.slots + slots
+        self.run_keys = (self.runs[:, None] * width + lanes).ravel()
         self.buf = np.empty((len(order), width))
+        self.fixed = None
 
-    def _stacked(self, weights):
-        """(V_0 | ... | V_shared): columns s * width .. of V_s, side by side."""
+    def fix_input(self, x):
+        """Store x and (M_0 x | ... | M_shared x), M_s being slot s's matrix."""
+        d = x.shape[1]
+        keys = (self.runs[:, None] * d + np.arange(d)).ravel()
+        products = np.take(x, self.cols, axis=0) * self.vals
+        per_slot = np.bincount(keys, products.ravel(),
+                               self.n * self.slots * d)
+        self.fixed = (x, per_slot.reshape(self.n, self.slots * d))
+
+    def _piece_grads(self, blocks):
+        """d W_k from the per-slot blocks h^T M_s dz: piece k plus shared."""
+        if self.k == 1:
+            return blocks
+        return [b + blocks[self.k] for b in blocks[:self.k]]
+
+    def _stacked(self, weights, axis=1):
+        """V_0, ..., V_shared side by side (axis 1) or stacked (axis 0)."""
         vs = list(weights) + ([sum(weights)] if self.k > 1 else [])
-        return np.concatenate(vs, axis=1)
+        return np.concatenate(vs, axis=axis)
 
     def _gather(self, src, rows):
         """buf = vals * src[rows], src having `width` columns."""
@@ -347,6 +368,8 @@ class PieceOperator:
 
     def forward(self, h, weights):
         """sum_k A_k h W_k as an (n, width) array."""
+        if self.fixed is not None and h is self.fixed[0]:
+            return self.fixed[1] @ self._stacked(weights, axis=0)
         width = self.buf.shape[1]
         hv = h @ self._stacked(weights)
         self._gather(hv.reshape(-1, width), self.stacked_cols)
@@ -358,8 +381,14 @@ class PieceOperator:
 
         The pieces are symmetric, so A_k^T dz = A_k dz comes from the same
         gather as the forward pass, summed per (row, slot): column block s
-        of u is (slot s's matrix) @ dz.
+        of u is M_s dz. For the fixed input, h^T M_s dz = (M_s h)^T dz needs
+        no gather, and d loss / d h is None: the features need no gradient.
         """
+        if self.fixed is not None and h is self.fixed[0]:
+            d = h.shape[1]
+            g = self.fixed[1].T @ dz
+            return None, self._piece_grads(
+                [g[s * d:(s + 1) * d] for s in range(self.slots)])
         width = self.buf.shape[1]
         self._gather(dz, self.cols)
         u = np.bincount(self.run_keys, self.buf.ravel(),
@@ -367,10 +396,8 @@ class PieceOperator:
         u = u.reshape(self.n, self.slots * width)
         d_h = u @ self._stacked(weights).T
         g = h.T @ u
-        grads = [g[:, s * width:(s + 1) * width] for s in range(self.k)]
-        if self.k > 1:
-            grads = [g_k + g[:, self.k * width:] for g_k in grads]
-        return d_h, grads
+        return d_h, self._piece_grads(
+            [g[:, s * width:(s + 1) * width] for s in range(self.slots)])
 
 
 def _edge_arrays(triples):
@@ -521,6 +548,8 @@ def _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob):
                 add_dy(i - 1, dy)
         d_in, grads[i - 1] = ops[i - 1].backward(ins[i - 1], dz,
                                                  weights[i - 1])
+        if d_in is None:  # layer 1's input is the features: no gradient
+            continue
         # route the input gradient back to the outputs that built the input
         offset = 0
         for j in _sources(cfg, i):
@@ -554,6 +583,7 @@ def build_model(cfg, data, source="none", seed=0, p=4, discount=False,
     widths = [fan_out for _, fan_out in _layer_dims(cfg, in_dim, n_classes)]
     ops = _build_operators(cfg, data, source, seed, p, discount,
                            with_skeleton, partitions, widths)
+    ops[0].fix_input(data.features)
     rng = np.random.default_rng(seed)
     weights = _init_weights(cfg, in_dim, n_classes, rng)
     return ops, weights

@@ -378,6 +378,15 @@ def test_piece_operator_matches_dense_pieces(source, discount, with_skeleton):
         assert len(a_dz) == k
         for a, got in zip(pieces, a_dz):
             _assert_close(got, a @ dz)
+    # the first layer's features were propagated once, at build time
+    x, layer = _MIXED.features, weights[0]
+    _assert_close(ops[0].forward(x, layer),
+                  sum(a @ x @ w for a, w in zip(dense[0], layer)))
+    dz = rng.normal(size=(n, layer[0].shape[1]))
+    d_x, grads = ops[0].backward(x, dz, layer)
+    assert d_x is None and len(grads) == k
+    for a, got in zip(dense[0], grads):
+        _assert_close(got, x.T @ a @ dz)
 
 
 def test_model_memory_stays_below_one_dense_piece():
