@@ -13,7 +13,7 @@ all pieces share stored once. A pass costs O(nnz * width) time and memory
 for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), and
 no n x n array is ever formed. Measured on a shared 2-core Intel Xeon host:
 a 20,000-node block model of average degree 4.5 trains a depth-8, K=5 gcn
-at about 0.32 s an epoch, with the train command peaking under 500 MB RSS.
+at 0.22-0.27 s an epoch, with the train command peaking at about 500 MiB.
 """
 
 import warnings
