@@ -361,9 +361,9 @@ class PieceOperator:
         vs = list(weights) + ([sum(weights)] if self.k > 1 else [])
         return np.concatenate(vs, axis=axis)
 
-    def _gather(self, src, rows):
-        """buf = vals * src[rows], src having `width` columns."""
-        np.take(src, rows, axis=0, out=self.buf, mode="clip")
+    def _gather(self, src, index):
+        """buf = vals * src[index], src having `width` columns."""
+        np.take(src, index, axis=0, out=self.buf, mode="clip")
         self.buf *= self.vals
 
     def forward(self, h, weights):
@@ -437,7 +437,8 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
                      partitions, widths):
     """One PieceOperator per layer for the requested decomposition.
 
-    widths holds each layer's output width, the rows every gather moves.
+    widths holds each layer's output width, the features that each of its
+    operator's gathers moves per entry.
     """
     if source not in DECOMP_SOURCES:
         raise DomainError(f"unknown decomposition source {source!r}")
