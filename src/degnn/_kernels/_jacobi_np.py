@@ -45,8 +45,9 @@ def jacobi_sweep(bt, vt, delta):
     is column k of B), so every rotation touches contiguous rows. vt is
     (count, n, n) and accumulates the rotations transposed (row k is column
     k of V); a vt of shape (count, n, 0) accumulates nothing (singular
-    values only). Returns the per-matrix rotation counts as an int array of
-    length count.
+    values only), and the sweep then gathers, rotates and scatters bt
+    alone. Returns the per-matrix rotation counts as an int array of length
+    count.
 
     A pair (i, j) is skipped when |b_i . b_j| <= delta * ||b_i|| * ||b_j||,
     a relative test, so near-zero columns still get orthogonalized against
@@ -56,6 +57,7 @@ def jacobi_sweep(bt, vt, delta):
     of its rows unchanged.
     """
     rotations = np.zeros(bt.shape[0], dtype=np.int64)
+    with_v = vt.shape[-1] > 0
     # zeta is inf or nan where gamma == 0; the mask discards it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for pairs in _schedule(bt.shape[1]):
@@ -80,7 +82,10 @@ def jacobi_sweep(bt, vt, delta):
                 s = np.where(rotate, s, 0.0)
             c = c[..., None, None]
             s = (s[..., None] * _SIGNS)[..., None]
-            for x, xr in ((bt, rows), (vt, vt[:, pairs])):
+            targets = [(bt, rows)]
+            if with_v:
+                targets.append((vt, vt[:, pairs]))
+            for x, xr in targets:
                 swapped = s * xr[:, :, ::-1]
                 xr *= c
                 xr += swapped

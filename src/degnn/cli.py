@@ -324,7 +324,8 @@ def decompose(edges, strategy, k, p, seed, skeleton, out):
 def verify(suites, trials, seed, out):
     """Run randomized identity suites and report pass counts."""
     started = time.time()
-    names = list(suites) or list(SUITES)
+    # each named suite once, in the order first named
+    names = list(dict.fromkeys(suites)) or list(SUITES)
     reports = []
     for name in names:
         rep = _SUITE_BY_NAME[name](trials=trials, seed=seed)

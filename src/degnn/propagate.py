@@ -241,6 +241,10 @@ def weights_with_top_singular(shape, sigma, seed):
         raise DomainError(
             f"a top singular value must be finite and >= 0, got {sigma}"
         )
+    if len(shape) != 2 or min(shape) < 1:
+        raise DomainError(
+            f"a weight shape needs two positive dimensions, got {tuple(shape)}"
+        )
     rng = np.random.default_rng(seed)
     w = rng.normal(size=shape)
     hi, _ = singular_extremes(w)

@@ -88,35 +88,33 @@ def _orthonormal_direction(ut, filled, seed_vec=None):
 
 
 def _gram_state(bt, shape_max):
-    """Convergence measures of the working matrix.
+    """Convergence measures of every working matrix of a stack.
 
-    Returns (off, rel, sig_cut): the off-diagonal Frobenius norm of the Gram
-    matrix, the largest relative non-orthogonality among column pairs whose
-    norms sit above the negligibility cut, and the cut itself. Negligible
-    columns (norm <= float rounding noise of the largest column) cannot be
-    driven to relative orthogonality and are handled at extraction instead.
+    bt is a (count, n, m) stack of working matrices. Returns three arrays of
+    length count, (off, rel, sig_cut): per matrix, the off-diagonal
+    Frobenius norm of its Gram matrix, the largest relative
+    non-orthogonality among column pairs whose norms sit above the
+    negligibility cut, and the cut itself. Negligible columns (norm <= float
+    rounding noise of the largest column) cannot be driven to relative
+    orthogonality and are handled at extraction instead.
     """
-    gram = bt @ bt.T
-    d = np.sqrt(np.clip(np.diag(gram).copy(), 0.0, None))
-    np.fill_diagonal(gram, 0.0)
-    off = float(np.sqrt((gram * gram).sum()))
-    sig_cut = float(d.max()) * (2.0 ** -52) * shape_max if d.size else 0.0
-    keep = np.flatnonzero(d > sig_cut)
-    rel = 0.0
-    if keep.size >= 2:
-        sub = gram[np.ix_(keep, keep)] / np.outer(d[keep], d[keep])
-        rel = float(np.abs(sub).max())
+    gram = bt @ bt.swapaxes(-1, -2)
+    diag = np.arange(gram.shape[-1])
+    d = np.sqrt(np.clip(gram[:, diag, diag], 0.0, None))
+    gram[:, diag, diag] = 0.0
+    off = np.sqrt((gram * gram).sum(axis=(1, 2)))
+    sig_cut = d.max(axis=1) * (2.0 ** -52) * shape_max
+    keep = d > sig_cut[:, None]
+    # only pairs of kept columns count; their norms are far from zero, and
+    # the zeroed diagonal adds nothing to the maximum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(gram) / (d[:, :, None] * d[:, None, :])
+    pairs = keep[:, :, None] & keep[:, None, :]
+    rel = np.where(pairs, ratio, 0.0).max(axis=(1, 2))
     return off, rel, sig_cut
 
 
-def _converged(bt, threshold, shape_max):
-    """(whether the working matrix meets both convergence tests, sig_cut)."""
-    off, rel, sig_cut = _gram_state(bt, shape_max)
-    return off <= threshold and rel <= REL_ORTH_TOL, sig_cut
-
-
-def _no_convergence(bt, threshold, shape_max, b, count):
-    off, rel, _ = _gram_state(bt, shape_max)
+def _no_convergence(off, rel, threshold, b, count):
     where = f" (matrix {b} of the stack)" if count > 1 else ""
     return NumericError(
         f"jacobi svd did not converge in {MAX_SWEEPS} sweeps{where} "
@@ -157,10 +155,14 @@ def _scaled_working(a, out):
 
 
 def _sorted_norms(bt):
-    """Descending column norms of the working matrix, and their order."""
-    norms = np.sqrt((bt * bt).sum(axis=1))
-    order = np.argsort(-norms, kind="stable")
-    return norms[order], order
+    """Descending column norms of working matrices, and their order.
+
+    bt is one working matrix or a stack of them; both results have the
+    shape of bt without its last axis.
+    """
+    norms = np.sqrt((bt * bt).sum(axis=-1))
+    order = np.argsort(-norms, axis=-1, kind="stable")
+    return np.take_along_axis(norms, order, axis=-1), order
 
 
 def svd(m, compute_uv=True):
@@ -237,7 +239,8 @@ def _jacobi(a, with_v):
     matrix leaves the batch, so the sweeps shrink as the stack converges.
     The working states fill one array the size of the stack, bt, and V
     accumulates in vt when with_v; both are compacted in place as matrices
-    leave.
+    leave. Before each sweep one batched Gram product tests the whole live
+    stack.
 
     Returns (sigma, sig_cut, bt, vt): row b of sigma holds the descending
     singular values of a[b] and sig_cut[b] the negligibility cut of its
@@ -263,38 +266,59 @@ def _jacobi(a, with_v):
     live = np.arange(count)
     rotations = None
     for _ in range(MAX_SWEEPS + 1):
-        keep = []
-        for pos, b in enumerate(live):
-            converged, sig_cut[b] = _converged(bt[pos], threshold[b],
-                                               shape_max)
-            if converged:
-                norms = _sorted_norms(bt[pos])[0]
-                sigma[b] = np.ldexp(norms * scale[b], exponent[b])
-            elif rotations is not None and rotations[pos] == 0:
-                # no pair of this matrix moved last sweep: a stall
-                raise _no_convergence(bt[pos], threshold[b], shape_max, b,
-                                      count)
-            else:
-                keep.append(pos)
-        if not keep:
+        off, rel, cut = _gram_state(bt, shape_max)
+        sig_cut[live] = cut
+        converged = (off <= threshold[live]) & (rel <= REL_ORTH_TOL)
+        if rotations is not None:
+            # no pair of such a matrix moved last sweep: a stall
+            stalled = np.flatnonzero(~converged & (rotations == 0))
+            if stalled.size:
+                pos = stalled[0]
+                raise _no_convergence(off[pos], rel[pos],
+                                      threshold[live[pos]], live[pos], count)
+        done = live[converged]
+        if done.size:
+            norms = _sorted_norms(bt[converged])[0]
+            sigma[done] = np.ldexp(norms * scale[done, None],
+                                   exponent[done, None])
+        keep = np.flatnonzero(~converged)
+        if not keep.size:
             return sigma, sig_cut, bt, vt
-        if len(keep) < len(live):
-            # keep ascends, so each move copies a matrix down or onto itself
-            for dest, pos in enumerate(keep):
-                bt[dest] = bt[pos]
-                vt[dest] = vt[pos]
-            bt = bt[: len(keep)]
-            vt = vt[: len(keep)]
+        if keep.size < live.size:
+            bt[: keep.size] = bt[keep]
+            vt[: keep.size] = vt[keep]
+            bt = bt[: keep.size]
+            vt = vt[: keep.size]
             live = live[keep]
         # looked up at call time, so a wrapper set on the module takes effect
         rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
+    off, rel, _ = _gram_state(bt[:1], shape_max)
     b = live[0]
-    raise _no_convergence(bt[0], threshold[b], shape_max, b, count)
+    raise _no_convergence(off[0], rel[0], threshold[b], b, count)
+
+
+def _sigma_each(mats):
+    """svd(m, compute_uv=False) of every 2-D array m of mats, in input order.
+
+    Matrices of one shape go to svd() as one C-ordered stack, so each shape
+    costs one call. Row i is the same bits as svd(mats[i]).sigma when
+    mats[i] is C-ordered; svd() sums a Fortran-ordered matrix's Frobenius
+    norm in memory order, which may differ in the last bit.
+    """
+    by_shape = {}
+    for i, m in enumerate(mats):
+        by_shape.setdefault(np.shape(m), []).append(i)
+    out = [None] * len(mats)
+    for idx in by_shape.values():
+        sigma = svd(np.stack([mats[i] for i in idx]), compute_uv=False)
+        for i, row in zip(idx, sigma):
+            out[i] = row
+    return out
 
 
 def singular_extremes(m):
     """(largest, smallest) singular value of m."""
-    s = svd(m).sigma
+    s = svd(m, compute_uv=False)
     return float(s[0]), float(s[-1])
 
 
@@ -368,14 +392,11 @@ def gcn_regime(a_mat, weights, slope=0.2):
         raise DomainError("propagation matrix must be square")
     if not weights:
         raise DomainError("need at least one weight matrix")
-    sigma_a, gamma_a = singular_extremes(a_mat)
-    sigma_w = -np.inf
-    gamma_w = np.inf
-    for w in weights:
-        hi, lo = singular_extremes(as_matrix(w, "weight"))
-        sigma_w = max(sigma_w, hi)
-        gamma_w = min(gamma_w, lo)
-    return _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope)
+    weights = [as_matrix(w, "weight") for w in weights]
+    s_a, *s_w = _sigma_each([a_mat, *weights])
+    sigma_w = max(float(s[0]) for s in s_w)
+    gamma_w = min(float(s[-1]) for s in s_w)
+    return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w, slope)
 
 
 def composite_operator(pieces, piece_weights):
@@ -411,13 +432,10 @@ def graphcnn_regime(pieces, layer_weights, slope=0.2):
     n = as_matrix(pieces[0], "piece").shape
     if n[0] != n[1]:
         raise DomainError("piece matrices must be square")
-    sup_sigma = -np.inf
-    inf_gamma = np.inf
-    for wk in layer_weights:
-        m_i = composite_operator(pieces, wk)
-        hi, lo = singular_extremes(m_i)
-        sup_sigma = max(sup_sigma, hi)
-        inf_gamma = min(inf_gamma, lo)
+    sigmas = _sigma_each([composite_operator(pieces, wk)
+                          for wk in layer_weights])
+    sup_sigma = max(float(s[0]) for s in sigmas)
+    inf_gamma = min(float(s[-1]) for s in sigmas)
     return _classify(sup_sigma, inf_gamma, 1.0, 1.0, slope)
 
 
@@ -442,18 +460,15 @@ def kron_sum_spectrum(split, w_pieces):
         )
     if len(w_pieces) != n:
         raise DomainError(f"expected {n} weight matrices, got {len(w_pieces)}")
-    d = None
-    values = []
+    ws = []
     for k, w_k in enumerate(w_pieces):
         w_k = as_matrix(w_k, f"w_pieces[{k}]")
         if w_k.shape[0] != w_k.shape[1]:
             raise DomainError("weight pieces must be square")
-        if d is None:
-            d = w_k.shape[0]
-        elif w_k.shape[0] != d:
+        if ws and w_k.shape != ws[0].shape:
             raise DomainError("weight pieces must share one dimension")
-        sw = svd(w_k).sigma
-        values.append(split.sigma[k] * sw)
-    out = np.concatenate(values)
+        ws.append(w_k)
+    out = np.concatenate([split.sigma[k] * sw
+                          for k, sw in enumerate(_sigma_each(ws))])
     out.sort()
     return out[::-1].copy()

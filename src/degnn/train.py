@@ -310,12 +310,13 @@ class PieceOperator:
     the sum of the W_k.
 
     Entries are sorted by (row, slot, col), the order in which each output
-    sums them. Both passes gather `width` features per entry into one
-    buffer that is allocated once and reused, so an operator is not safe to
-    call from two threads at a time; a bincount over precomputed keys then
-    sums the products per row (forward) or per (row, slot) (backward). The
-    buffer and the two key arrays hold nnz * width entries each, the rest
-    of the operator a few arrays of length nnz.
+    sums them. Both passes gather `width` features per entry into buf, a
+    flat float64 array of at least nnz * width entries that the operators
+    of one model share, since their layers run one at a time; so no two
+    operators of a model are safe to call from two threads at a time. A
+    bincount over precomputed keys then sums the products per row (forward)
+    or per (row, slot) (backward). The two key arrays hold nnz * width
+    entries each, the rest of the operator a few arrays of length nnz.
 
     The first layer always reads the same features, so fix_input propagates
     them once per slot: calls whose input is that array (by identity) then
@@ -323,7 +324,7 @@ class PieceOperator:
     gather path.
     """
 
-    def __init__(self, n, k, rows, cols, slots, vals, width):
+    def __init__(self, n, k, rows, cols, slots, vals, width, buf):
         order = np.lexsort((cols, slots, rows))
         rows, cols, slots = rows[order], cols[order], slots[order]
         self.n = n
@@ -338,7 +339,7 @@ class PieceOperator:
         self.row_keys = (rows[:, None] * width + lanes).ravel()
         self.runs = rows * self.slots + slots
         self.run_keys = (self.runs[:, None] * width + lanes).ravel()
-        self.buf = np.empty((len(order), width))
+        self.buf = buf[: len(order) * width].reshape(len(order), width)
         self.fixed = None
 
     def fix_input(self, x):
@@ -406,12 +407,14 @@ def _edge_arrays(triples):
     return a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]
 
 
-def _piece_operator(g, k, skeleton, residuals, discount, width):
+def _piece_operator(g, k, skeleton, residuals, discount, width, buf):
     """PieceOperator of k pieces: shared skeleton plus one residual per piece.
 
     skeleton and each of the k residuals are (i, j, w) arrays of edges with
     i < j. discount divides the shared entries (skeleton and diagonal) by k,
-    so the pieces sum to the whole-graph matrix again.
+    so the pieces sum to the whole-graph matrix again. buf is the flat
+    gather buffer the operator shares, at least _entry_count(...) * width
+    long.
     """
     n = g.n
     diag = np.arange(n)
@@ -430,7 +433,12 @@ def _piece_operator(g, k, skeleton, residuals, discount, width):
     off = slice(n, None)
     return PieceOperator(n, k, np.r_[i, j[off]], np.r_[j, i[off]],
                          np.r_[slots, slots[off]], np.r_[vals, vals[off]],
-                         width)
+                         width, buf)
+
+
+def _entry_count(g, skeleton, residuals):
+    """Entries of _piece_operator's operator: the diagonal, each edge twice."""
+    return g.n + 2 * sum(len(e[0]) for e in (skeleton, *residuals))
 
 
 def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
@@ -450,27 +458,33 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
             )
         # every layer propagates with the same matrix, so layers of one
         # width share one operator
-        no_skeleton = _edge_arrays(())
-        by_width = {width: _piece_operator(g, 1, no_skeleton,
-                                           [g.edge_arrays()], False, width)
-                    for width in set(widths)}
-        return [by_width[width] for width in widths]
-    decs = layer_decompositions(
-        g, cfg.k_schedule, source, p=p, seed=seed, with_skeleton=with_skeleton,
-        partitions=partitions,
-    )
-    ops = []
-    for d, width in zip(decs, widths):
-        skeleton = _edge_arrays(d.skeleton)
-        skeleton_keys = skeleton[0] * g.n + skeleton[1]
-        residuals = []
-        for piece in d.pieces:
-            i, j, w = _edge_arrays(piece)
-            own = ~np.isin(i * g.n + j, skeleton_keys)
-            residuals.append((i[own], j[own], w[own]))
-        ops.append(_piece_operator(g, d.k, skeleton, residuals, discount,
-                                   width))
-    return ops
+        plain = (1, _edge_arrays(()), [g.edge_arrays()])
+        distinct = sorted(set(widths))
+        parts = [(*plain, width) for width in distinct]
+        which = [distinct.index(width) for width in widths]
+        discount = False
+    else:
+        decs = layer_decompositions(
+            g, cfg.k_schedule, source, p=p, seed=seed,
+            with_skeleton=with_skeleton, partitions=partitions,
+        )
+        parts = []
+        for d, width in zip(decs, widths):
+            skeleton = _edge_arrays(d.skeleton)
+            skeleton_keys = skeleton[0] * g.n + skeleton[1]
+            residuals = []
+            for piece in d.pieces:
+                i, j, w = _edge_arrays(piece)
+                own = ~np.isin(i * g.n + j, skeleton_keys)
+                residuals.append((i[own], j[own], w[own]))
+            parts.append((d.k, skeleton, residuals, width))
+        which = range(len(parts))
+    # layers run one at a time, so all operators gather into one buffer
+    buf = np.empty(max(_entry_count(g, skeleton, residuals) * width
+                       for _, skeleton, residuals, width in parts))
+    ops = [_piece_operator(g, k, skeleton, residuals, discount, width, buf)
+           for k, skeleton, residuals, width in parts]
+    return [ops[i] for i in which]
 
 
 def _layer_input(cfg, ys, i):

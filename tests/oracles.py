@@ -3,6 +3,11 @@
 Everything here is deliberately dumb and self-contained: no numpy.linalg
 factorizations, nothing imported from degnn's certified code paths. The
 point is that a bug in the library cannot hide behind the same bug here.
+
+The one exception is the per-trial verify suites at the end: they are the
+loops the batched suites in degnn.verify replaced, kept to show that the
+batching changed no report. They call the library functions under test,
+one svd() per matrix.
 """
 
 from __future__ import annotations
@@ -138,6 +143,26 @@ def singular_values_cyclic_jacobi(m, delta=1e-13, max_sweeps=60):
     raise AssertionError(f"no convergence in {max_sweeps} cyclic sweeps")
 
 
+def gram_state_single(bt, shape_max):
+    """svd()'s convergence measures (off, rel, sig_cut) of one working matrix.
+
+    The per-matrix form of degnn.spectral._gram_state: the off-diagonal
+    Frobenius norm of bt's Gram matrix, the largest relative
+    non-orthogonality among columns above the negligibility cut, and the cut.
+    """
+    gram = bt @ bt.T
+    d = np.sqrt(np.clip(np.diag(gram).copy(), 0.0, None))
+    np.fill_diagonal(gram, 0.0)
+    off = float(np.sqrt((gram * gram).sum()))
+    sig_cut = float(d.max()) * (2.0 ** -52) * shape_max if d.size else 0.0
+    keep = np.flatnonzero(d > sig_cut)
+    rel = 0.0
+    if keep.size >= 2:
+        sub = gram[np.ix_(keep, keep)] / np.outer(d[keep], d[keep])
+        rel = float(np.abs(sub).max())
+    return off, rel, sig_cut
+
+
 def brute_cut(edges, labels):
     """Total weight of edges whose endpoints carry different labels."""
     return sum(w for (i, j, w) in edges if labels[i] != labels[j])
@@ -192,3 +217,168 @@ def forward_reference(a_pieces, layer_weights, x0, slope):
         y = prelu(z, slope)
         outs.append(y)
     return outs
+
+
+def check_split_spectrum_per_trial(trials, seed, tol=1e-8):
+    """degnn.verify.check_split_spectrum with every SVD inside its trial."""
+    from degnn.decompose import spectral_split
+    from degnn.linalg import kron
+    from degnn.spectral import kron_sum_spectrum, svd
+    from degnn.verify import CheckReport
+
+    rng = np.random.default_rng(seed)
+    passed = 0
+    max_err = 0.0
+    for t in range(trials):
+        n = int(rng.integers(2, 7))
+        d = int(rng.integers(1, 4))
+        a_mat = rng.normal(size=(n, n))
+        if t % 5 == 4:
+            a_mat[:, 0] = a_mat[:, -1]
+        split = spectral_split(a_mat, groups=n)
+        w_pieces = [rng.normal(size=(d, d)) for _ in range(n)]
+        closed = kron_sum_spectrum(split, w_pieces)
+        total = sum(
+            kron(w_k, a_k) for w_k, a_k in zip(w_pieces, split.pieces)
+        )
+        brute = svd(total).sigma
+        err = float(np.max(np.abs(closed - brute)))
+        max_err = max(max_err, err)
+        passed += err < tol
+    return CheckReport("lemma3", passed, trials, max_err)
+
+
+def check_kron_identities_per_trial(trials, seed, sv_tol=1e-8,
+                                    vec_tol=1e-10):
+    """degnn.verify.check_kron_identities with every SVD inside its trial."""
+    from degnn.linalg import kron, vec
+    from degnn.spectral import svd
+    from degnn.verify import CheckReport
+
+    rng = np.random.default_rng(seed)
+    passed = 0
+    max_err = 0.0
+    for _ in range(trials):
+        m, n, p, q = (int(rng.integers(1, 5)) for _ in range(4))
+        a_mat = rng.normal(size=(m, n))
+        b_mat = rng.normal(size=(p, q))
+        direct = svd(kron(a_mat, b_mat)).sigma
+        outer = np.sort(np.outer(svd(a_mat).sigma, svd(b_mat).sigma),
+                        axis=None)
+        products = np.zeros(direct.shape)
+        products[: outer.size] = outer[::-1]
+        sv_err = float(np.max(np.abs(direct - products)))
+
+        left = rng.normal(size=(m, n))
+        mid = rng.normal(size=(n, p))
+        right = rng.normal(size=(p, q))
+        lhs = vec(left @ mid @ right)
+        rhs = kron(right.T, left) @ vec(mid)
+        vec_err = float(np.max(np.abs(lhs - rhs)))
+
+        max_err = max(max_err, sv_err, vec_err)
+        passed += sv_err < sv_tol and vec_err < vec_tol
+    return CheckReport("kron", passed, trials, max_err)
+
+
+def _singular_extremes_full(m):
+    from degnn.spectral import svd
+
+    s = svd(m).sigma
+    return float(s[0]), float(s[-1])
+
+
+def _regime_per_matrix(sigma_a, gamma_a, sigma_w, gamma_w, slope):
+    from degnn.spectral import _classify
+
+    return _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope)
+
+
+def gcn_regime_per_matrix(a_mat, weights, slope):
+    """degnn.spectral.gcn_regime with one full svd() per matrix."""
+    sigma_a, gamma_a = _singular_extremes_full(a_mat)
+    sigma_w = -np.inf
+    gamma_w = np.inf
+    for w in weights:
+        hi, lo = _singular_extremes_full(w)
+        sigma_w = max(sigma_w, hi)
+        gamma_w = min(gamma_w, lo)
+    return _regime_per_matrix(sigma_a, gamma_a, sigma_w, gamma_w, slope)
+
+
+def graphcnn_regime_per_matrix(pieces, layer_weights, slope):
+    """degnn.spectral.graphcnn_regime with one full svd() per layer."""
+    from degnn.spectral import composite_operator
+
+    sup_sigma = -np.inf
+    inf_gamma = np.inf
+    for wk in layer_weights:
+        hi, lo = _singular_extremes_full(composite_operator(pieces, wk))
+        sup_sigma = max(sup_sigma, hi)
+        inf_gamma = min(inf_gamma, lo)
+    return _regime_per_matrix(sup_sigma, inf_gamma, 1.0, 1.0, slope)
+
+
+def check_regimes_per_trial(trials, seed, tol=1e-9):
+    """degnn.verify.check_regimes with one full svd() per matrix."""
+    from degnn.decompose import spectral_split
+    from degnn.propagate import gcn_stack, linearized_map
+    from degnn.spectral import svd
+    from degnn.verify import CheckReport
+
+    def random_orthogonal(n):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        return q * np.sign(np.diag(r))
+
+    rng = np.random.default_rng(seed)
+    passed = 0
+    max_err = 0.0
+    for t in range(trials):
+        n = int(rng.integers(2, 6))
+        d = int(rng.integers(1, 4))
+        depth = int(rng.integers(1, 5))
+        slope = float(rng.uniform(0.1, 0.9))
+        kind = t % 3
+        if kind == 0:
+            a_mat = rng.normal(size=(n, n))
+            weights = [rng.normal(size=(d, d)) for _ in range(depth)]
+            sigma_a = svd(a_mat).sigma[0]
+            sigma_w = max(svd(w).sigma[0] for w in weights)
+            scale = 0.9 / (sigma_a * sigma_w)
+            weights = [w * scale for w in weights]
+            rep = gcn_regime_per_matrix(a_mat, weights, slope)
+            stack = gcn_stack(a_mat, weights, slope=slope)
+            x = rng.normal(size=n * d)
+            hi, _ = _singular_extremes_full(linearized_map(stack, x)[0])
+            err = max(0.0, hi - rep.bound_per_layer ** depth)
+            ok = rep.regime == "decay" and err <= tol
+        elif kind == 1:
+            gain = float(rng.uniform(1.0 / slope + 0.05, 1.0 / slope + 1.0))
+            a_mat = gain * random_orthogonal(n)
+            weights = [random_orthogonal(d) for _ in range(depth)]
+            rep = gcn_regime_per_matrix(a_mat, weights, slope)
+            stack = gcn_stack(a_mat, weights, slope=slope)
+            x = rng.normal(size=n * d)
+            _, lo = _singular_extremes_full(linearized_map(stack, x)[0])
+            err = max(0.0, rep.bound_per_layer ** depth - lo)
+            ok = rep.regime == "preserve" and err <= tol
+        else:
+            k = int(rng.integers(1, min(4, n + 1)))
+            a_mat = rng.normal(size=(n, n))
+            split = spectral_split(a_mat, groups=k)
+            layer_weights = [
+                [rng.normal(size=(d, d)) for _ in range(k)]
+                for _ in range(depth)
+            ]
+            rep = graphcnn_regime_per_matrix(split.pieces, layer_weights,
+                                             slope)
+            if rep.regime == "decay":
+                ok = rep.sigma_a < 1.0
+            elif rep.regime == "preserve":
+                ok = slope * rep.gamma_a >= 1.0
+            else:
+                ok = rep.sigma_a >= 1.0 and slope * rep.gamma_a < 1.0
+            err = 0.0 if ok else 1.0
+        max_err = max(max_err, err)
+        passed += ok
+    return CheckReport("regimes", passed, trials, max_err)

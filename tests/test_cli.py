@@ -150,6 +150,18 @@ def test_verify_defaults_to_all_suites():
         assert f"{name}: 20/20 pass" in res.output
 
 
+def test_verify_runs_a_repeated_suite_once(tmp_path):
+    out = tmp_path / "rep"
+    res = _run(["verify", "--which", "kron", "--which", "lemma1",
+                "--which", "kron", "--trials", "5", "--out", str(out)])
+    assert res.exit_code == 0
+    # each suite once, in the order first named
+    assert [line.split(":")[0] for line in res.output.splitlines()] == [
+        "kron", "lemma1"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"]["which"] == ["kron", "lemma1"]
+
+
 def test_verify_unknown_suite_exits_2():
     res = _run(["verify", "--which", "lemma9"])
     assert res.exit_code == 2
@@ -185,6 +197,17 @@ def test_decay_impossible_sigma_w_exits_2(tmp_path, sigma_w):
                 "--sigma-w", sigma_w, "--out", str(out)])
     assert res.exit_code == 2
     assert "top singular value" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_decay_non_positive_dim_exits_2(tmp_path, dim):
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "run"
+    res = _run(["decay", "--edges", str(edges), "--depths", "1..2",
+                "--dim", dim, "--out", str(out)])
+    assert res.exit_code == 2
+    assert f"two positive dimensions, got ({dim}, {dim})" in res.output
     assert not out.exists()
 
 

@@ -64,13 +64,25 @@ def test_svd_looks_up_its_sweeps_at_call_time(monkeypatch):
     inner = _kernels.jacobi_sweep
 
     def counting(bt, vt, delta):
-        calls.append(bt.shape[0])
+        calls.append((bt.shape[0], vt.shape[-1]))
         return inner(bt, vt, delta)
 
     monkeypatch.setattr(_kernels, "jacobi_sweep", counting)
     rng = np.random.default_rng(5)
     svd(rng.normal(size=(5, 4)))
-    assert calls and set(calls) == {1}
+    assert calls and set(calls) == {(1, 4)}
     calls.clear()
-    svd(rng.normal(size=(3, 5, 4)), compute_uv=False)
-    assert calls and calls[0] == 3
+    # singular values only: the sweeps get an empty V and still count
+    stack = rng.normal(size=(3, 5, 4))
+    svd(stack, compute_uv=False)
+    assert calls and calls[0] == (3, 0)
+    assert {width for _, width in calls} == {0}
+    # the stack sweeps until its slowest matrix converges
+    sweeps = len(calls)
+    alone = []
+    for m in stack:
+        calls.clear()
+        svd(m, compute_uv=False)
+        assert set(calls) == {(1, 0)}
+        alone.append(len(calls))
+    assert sweeps == max(alone)

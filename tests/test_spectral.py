@@ -12,7 +12,7 @@ from degnn.spectral import (
     singular_extremes,
     svd,
 )
-from oracles import singular_values_charpoly
+from oracles import gram_state_single, singular_values_charpoly
 
 
 def test_svd_known_values():
@@ -219,6 +219,49 @@ def test_svd_stack_matches_per_matrix_sigma():
             want = svd(m).sigma
             assert np.array_equal(got[b], want)
             assert np.array_equal(svd(m, compute_uv=False), want)
+
+
+def test_batched_gram_state_matches_per_matrix():
+    """One batched convergence test gives each matrix's own bits."""
+    rng = np.random.default_rng(21)
+    square = rng.normal(size=(5, 6, 6))
+    square[0] = 0.0
+    square[1][-1] = square[1][0] + square[1][1]  # rank-deficient
+    square[2] *= np.logspace(-12, 0, 6)[:, None]  # graded rows (columns of B)
+    square[3] *= 2.0 ** -500
+    ones = rng.normal(size=(3, 1, 1))
+    ones[1] = 0.0
+    stacks = [square, ones, rng.normal(size=(4, 4, 9)),  # wide
+              rng.normal(size=(3, 9, 4)), rng.normal(size=(2, 1, 7))]
+    for stack in stacks:
+        shape_max = max(stack.shape[1:])
+        off, rel, cut = spectral._gram_state(stack, shape_max)
+        for b, bt in enumerate(stack):
+            want = gram_state_single(bt, shape_max)
+            got = (float(off[b]), float(rel[b]), float(cut[b]))
+            assert got == want, (stack.shape, b)
+
+
+def test_sigma_each_groups_by_shape_in_input_order(monkeypatch):
+    rng = np.random.default_rng(22)
+    shapes = [(3, 4), (1, 5), (5, 1), (3, 4), (2, 2), (1, 5), (1, 1),
+              (5, 1), (4, 3)]
+    mats = [rng.normal(size=shape) for shape in shapes]
+    want = [svd(m, compute_uv=False) for m in mats]
+    calls = []
+    inner = spectral.svd
+
+    def counting(m, compute_uv=True):
+        calls.append(np.shape(m))
+        return inner(m, compute_uv=compute_uv)
+
+    monkeypatch.setattr(spectral, "svd", counting)
+    got = spectral._sigma_each(mats)
+    assert len(calls) == len(set(shapes))
+    assert all(len(shape) == 3 for shape in calls)
+    assert len(got) == len(mats)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_svd_stack_raises_whenever_a_matrix_would(monkeypatch):

@@ -1,6 +1,11 @@
 """Tests for the randomized identity self-checks."""
 
 import pytest
+from oracles import (
+    check_kron_identities_per_trial,
+    check_regimes_per_trial,
+    check_split_spectrum_per_trial,
+)
 
 from degnn.errors import DomainError
 from degnn.verify import (
@@ -57,3 +62,16 @@ def test_report_summary_format():
     rep = CheckReport("demo", 3, 4, 0.5)
     assert not rep.ok
     assert rep.summary() == "demo: 3/4 pass (max err 5.000e-01)"
+
+
+@pytest.mark.parametrize("check, reference", [
+    (check_split_spectrum, check_split_spectrum_per_trial),
+    (check_kron_identities, check_kron_identities_per_trial),
+    (check_regimes, check_regimes_per_trial),
+], ids=["lemma3", "kron", "regimes"])
+def test_batched_suites_match_per_trial_reference(check, reference):
+    """Stacking the SVDs across trials changes no field of a report."""
+    for seed in range(5):
+        got = check(trials=40, seed=seed)
+        want = reference(trials=40, seed=seed)
+        assert got == want, (seed, got, want)
