@@ -26,7 +26,6 @@ from .spectral import (
     gcn_regime,
     graphcnn_regime,
     kron_sum_spectrum,
-    svd,
 )
 
 
@@ -201,8 +200,9 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
             # force decay: rescale the weights so sigma_a * sigma_w = 0.9
             a_mat = rng.normal(size=(n, n))
             weights = [rng.normal(size=(d, d)) for _ in range(depth)]
-            sigma_a = svd(a_mat, compute_uv=False)[0]
-            sigma_w = max(svd(w, compute_uv=False)[0] for w in weights)
+            s_a, *s_w = _sigma_each([a_mat, *weights])
+            sigma_a = s_a[0]
+            sigma_w = max(s[0] for s in s_w)
             scale = 0.9 / (sigma_a * sigma_w)
             weights = [w * scale for w in weights]
             rep = gcn_regime(a_mat, weights, slope=slope)
