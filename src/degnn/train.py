@@ -312,11 +312,12 @@ class PieceOperator:
     Entries are sorted by (row, slot, col), the order in which each output
     sums them. Both passes gather `width` features per entry into buf, a
     flat float64 array of at least nnz * width entries that the operators
-    of one model share, since their layers run one at a time; so no two
-    operators of a model are safe to call from two threads at a time. A
-    bincount over precomputed keys then sums the products per row (forward)
-    or per (row, slot) (backward). The two key arrays hold nnz * width
-    entries each, the rest of the operator a few arrays of length nnz.
+    of one model share, since their layers run one at a time; so the
+    operators of one model are not safe to call from two threads at once.
+    A bincount over precomputed keys then sums the products per row
+    (forward) or per (row, slot) (backward). The two key arrays hold
+    nnz * width entries each, the rest of the operator a few arrays of
+    length nnz.
 
     The first layer always reads the same features, so fix_input propagates
     them once per slot: calls whose input is that array (by identity) then
