@@ -10,6 +10,7 @@ failures.
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -74,9 +75,12 @@ _BACKBONE_ALIASES = {
 class RunManifest:
     """Record of one invocation, written next to every output artifact.
 
-    numpy_version names the install: the SVD sweeps and every product run
-    through numpy and its BLAS, so two installs can give different bits
-    under the same flags.
+    numpy_version and blas name the install: the SVD sweeps and every
+    product run through numpy and its BLAS, so two installs can give
+    different bits under the same flags. One install can too: BLAS
+    products split their sums by thread, so the trained weights depend on
+    the thread count. blas_thread_env holds the variables that set it
+    (None when unset) and cpu_count the cores a default count follows.
     """
 
     subcommand: str
@@ -86,10 +90,27 @@ class RunManifest:
     version: str
     wall_clock_seconds: float
     numpy_version: str
+    blas: str
+    blas_thread_env: dict
+    cpu_count: int | None
     created: str = field(default="")
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _blas_name():
+    """numpy's BLAS as "name version", or "unknown" where numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        # numpy before 1.26 has no dict mode; a build may omit the entry
+        return "unknown"
 
 
 def _sha256(path):
@@ -117,6 +138,9 @@ def _emit_manifest(out_dir, subcommand, flags, seed, inputs, started):
         version=__version__,
         wall_clock_seconds=time.time() - started,
         numpy_version=np.__version__,
+        blas=_blas_name(),
+        blas_thread_env={k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+        cpu_count=os.cpu_count(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
     path = Path(out_dir) / "manifest.json"

@@ -7,8 +7,8 @@ and the partition/decomposition passes can each use the natural
 representation. Edge arrays for vectorized code, such as the trainer's
 sparse propagation, are built on first use. Measured scale: one
 multilevel_partition of a 10-block planted graph with n=20,000 and m=88,000
-into p=16 parts takes 24-34 s of CPU and peaks at about 180 MB RSS, on one
-core of a shared 2-core Intel Xeon host.
+into p=16 parts takes 20-21 s of CPU and peaks at about 160 MB RSS, on
+one core of a shared 2-core Intel Xeon host.
 """
 
 import warnings

@@ -170,7 +170,7 @@ def _contract(adj, node_w, rng):
     return cadj, cw, coarse_id, c
 
 
-def _grow_initial(adj, node_w, p, cap, rng):
+def _grow_initial(adj, node_w, p, rng):
     """Greedy graph growing from p seeded start nodes."""
     n = len(adj)
     labels = [-1] * n
@@ -203,7 +203,7 @@ def _grow_initial(adj, node_w, p, cap, rng):
         for v in sorted(adj[node]):
             if labels[v] == -1:
                 fr.append(v)
-    return labels, part_w
+    return labels
 
 
 def _cut_of(adj, labels):
@@ -223,6 +223,14 @@ def _fm_refine(adj, node_w, labels, p, cap):
     relaxed cap, then rolls back to the best strictly balanced prefix. On
     exit no single feasible move strictly reduces the cut, so the result is
     locally minimal under single-node moves.
+
+    A move costs work in proportion to what it changes. Each unlocked
+    neighbor's neighbor-part weights change in the two parts the move
+    touched, and only the moves whose gain changed, or that left the queue
+    since, are queued again. The tables stay bit-identical to a recount and
+    the queue holds the same entries as one refilled with every move of
+    every unlocked neighbor, so the moves are those of that simpler loop
+    (tests/oracles.py keeps it as fm_refine_reference).
     """
     n = len(adj)
     if p == 1 or n == 0:
@@ -232,6 +240,13 @@ def _fm_refine(adj, node_w, labels, p, cap):
     part_w = [0.0] * p
     for u in range(n):
         part_w[labels[u]] += node_w[u]
+    # Positive integer weights whose total stays below 2**53 add exactly in
+    # any order, so a table can follow a move by -w/+w and still equal a
+    # recount. Other weights re-sum the two changed parts in adjacency order,
+    # the order in which neighbor_parts adds them.
+    weights = [w for nbrs in adj for w in nbrs.values()]
+    integral = (sum(weights) < 2.0 ** 53
+                and all(float(w).is_integer() for w in weights))
 
     def neighbor_parts(u):
         d = {}
@@ -245,50 +260,74 @@ def _fm_refine(adj, node_w, labels, p, cap):
         start_cut = cut
         feasible0 = max(part_w) <= cap
         locked = [False] * n
-        heap = []
-        # the entries now in the heap: a second identical copy would be
-        # popped right behind the first and repeat its outcome or do nothing
-        queued = set()
-        # each unlocked node's neighbor_parts as of its last push_moves; a
-        # move re-pushes every unlocked neighbor, so the dict is current
-        # whenever an unlocked node's entry is popped
+        # The move queue: neg_gain -> a heap of codes u * p + tgt, and a heap
+        # holding each neg_gain key once. Pops come out by (neg_gain, u, tgt),
+        # as from one heap of such tuples, whatever the push order; -0.0 and
+        # 0.0 share a bucket. An entry pushed while queued pops out right
+        # behind itself and leaves with it, so it counts once. A bucket goes
+        # as its last code pops: per-bucket sets of the queued codes would
+        # cost a set for nearly every entry on float levels, where few gains
+        # repeat.
+        buckets = {}
+        keys = []
+        # each unlocked node's neighbor_parts, current once it is built: a
+        # move updates the table of every unlocked neighbor that has one
         nbp_of = [None] * n
+        # targets whose current entry a balance or empty-source test dropped
+        # since the node was last queued; nothing else takes a current entry
+        # of an unlocked node out of the queue
+        dropped = [None] * n
 
-        def push(entry):
-            if entry not in queued:
-                queued.add(entry)
-                heapq.heappush(heap, entry)
+        def push(neg_gain, code):
+            heap = buckets.get(neg_gain)
+            if heap is None:
+                buckets[neg_gain] = [code]
+                heapq.heappush(keys, neg_gain)
+            else:
+                heapq.heappush(heap, code)
 
         def push_moves(u):
-            nbp = nbp_of[u] = neighbor_parts(u)
-            own = nbp.get(labels[u], 0.0)
+            nbp = nbp_of[u]
+            lab = labels[u]
+            own = nbp.get(lab, 0.0)
+            base = u * p
             for tgt, wsum in nbp.items():
-                if tgt != labels[u]:
-                    push((-(wsum - own), u, tgt))
+                if tgt != lab:
+                    push(-(wsum - own), base + tgt)
+            dropped[u] = None
 
         for u in range(n):
             if any(labels[v] != labels[u] for v in adj[u]):
+                nbp_of[u] = neighbor_parts(u)
                 push_moves(u)
 
         moves = []
         best_idx = -1
         best_cut = cut if feasible0 else math.inf
         best_feasible = feasible0
-        while heap:
-            entry = heapq.heappop(heap)
-            queued.remove(entry)
-            neg_gain, u, tgt = entry
-            if locked[u] or labels[u] == tgt:
+        while keys:
+            neg_gain = keys[0]
+            heap = buckets[neg_gain]
+            code = heapq.heappop(heap)
+            while heap and heap[0] == code:
+                heapq.heappop(heap)
+            if not heap:
+                heapq.heappop(keys)
+                del buckets[neg_gain]
+            u, tgt = divmod(code, p)
+            if locked[u]:
                 continue
             nbp = nbp_of[u]
-            gain = nbp.get(tgt, 0.0) - nbp.get(labels[u], 0.0)
-            if -neg_gain != gain:
-                push((-gain, u, tgt))
-                continue
             src = labels[u]
-            if part_w[tgt] + node_w[u] > relaxed:
+            gain = nbp.get(tgt, 0.0) - nbp.get(src, 0.0)
+            if -neg_gain != gain:
+                push(-gain, code)
                 continue
-            if part_w[src] - node_w[u] <= 0.0:
+            if (part_w[tgt] + node_w[u] > relaxed
+                    or part_w[src] - node_w[u] <= 0.0):
+                if dropped[u] is None:
+                    dropped[u] = []
+                dropped[u].append(tgt)
                 continue
             labels[u] = tgt
             part_w[src] -= node_w[u]
@@ -304,10 +343,49 @@ def _fm_refine(adj, node_w, labels, p, cap):
                 best_idx = len(moves) - 1
                 best_cut = cut
                 best_feasible = feasible
-            # the heap orders entries by value, so push order is immaterial
-            for v in adj[u]:
-                if not locked[v]:
+            for v, w in adj[u].items():
+                if locked[v]:
+                    continue
+                nbp = nbp_of[v]
+                if nbp is None:
+                    nbp_of[v] = neighbor_parts(v)
                     push_moves(v)
+                    continue
+                if integral:
+                    left = nbp[src] - w
+                    if left:
+                        nbp[src] = left
+                    else:
+                        del nbp[src]
+                    nbp[tgt] = nbp.get(tgt, 0.0) + w
+                else:
+                    w_src = w_tgt = 0.0
+                    for x, wx in adj[v].items():
+                        lx = labels[x]
+                        if lx == src:
+                            w_src += wx
+                        elif lx == tgt:
+                            w_tgt += wx
+                    if w_src:
+                        nbp[src] = w_src
+                    else:
+                        del nbp[src]
+                    nbp[tgt] = w_tgt
+                lab = labels[v]
+                if lab == src or lab == tgt:
+                    # v's own weight changed, and with it every gain of v
+                    push_moves(v)
+                    continue
+                own = nbp.get(lab, 0.0)
+                base = v * p
+                if src in nbp:
+                    push(-(nbp[src] - own), base + src)
+                push(-(nbp[tgt] - own), base + tgt)
+                if dropped[v] is not None:
+                    for t in dropped[v]:
+                        if t in nbp:
+                            push(-(nbp[t] - own), base + t)
+                    dropped[v] = None
         # roll back past the best prefix
         for u, src, tgt in reversed(moves[best_idx + 1:]):
             labels[u] = src
@@ -340,7 +418,7 @@ def _partition_region(adj, node_w, p, cap, rng):
     labels = None
     best_key = None
     for _ in range(INITIAL_TRIES):
-        cand, _ = _grow_initial(cur_adj, cur_w, p, cap, rng)
+        cand = _grow_initial(cur_adj, cur_w, p, rng)
         cand = _fm_refine(cur_adj, cur_w, cand, p, cap)
         part_w = [0.0] * p
         for u, lab in enumerate(cand):

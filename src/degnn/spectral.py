@@ -265,7 +265,9 @@ def _jacobi(a, with_v):
     sig_cut = np.empty(count)
     live = np.arange(count)
     rotations = None
-    for _ in range(MAX_SWEEPS + 1):
+    # a convergence test before each sweep and after the last: MAX_SWEEPS
+    # sweeps in all
+    for swept in range(MAX_SWEEPS + 1):
         off, rel, cut = _gram_state(bt, shape_max)
         sig_cut[live] = cut
         converged = (off <= threshold[live]) & (rel <= REL_ORTH_TOL)
@@ -284,6 +286,10 @@ def _jacobi(a, with_v):
         keep = np.flatnonzero(~converged)
         if not keep.size:
             return sigma, sig_cut, bt, vt
+        if swept == MAX_SWEEPS:
+            pos = keep[0]
+            raise _no_convergence(off[pos], rel[pos], threshold[live[pos]],
+                                  live[pos], count)
         if keep.size < live.size:
             bt[: keep.size] = bt[keep]
             vt[: keep.size] = vt[keep]
@@ -292,9 +298,6 @@ def _jacobi(a, with_v):
             live = live[keep]
         # looked up at call time, so a wrapper set on the module takes effect
         rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
-    off, rel, _ = _gram_state(bt[:1], shape_max)
-    b = live[0]
-    raise _no_convergence(off[0], rel[0], threshold[b], b, count)
 
 
 def _sigma_each(mats):

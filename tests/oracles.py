@@ -4,17 +4,22 @@ Everything here is deliberately dumb and self-contained: no numpy.linalg
 factorizations, nothing imported from degnn's certified code paths. The
 point is that a bug in the library cannot hide behind the same bug here.
 
-The one exception is the per-trial verify suites at the end: they are the
-loops the batched suites in degnn.verify replaced, kept to show that the
-batching changed no report. They call the library functions under test,
-one svd() per matrix.
+Two exceptions are loops the library replaced, kept to show that the
+replacement changed no result. fm_refine_reference is the partitioner's
+earlier FM refinement; it shares MAX_FM_PASSES and the cut count with
+degnn.partition. The per-trial verify suites at the end are the loops the
+batched suites in degnn.verify replaced; they call the library functions
+under test, one svd() per matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
+
+from degnn.partition import MAX_FM_PASSES, _cut_of
 
 
 def det_gauss(m):
@@ -195,6 +200,115 @@ def best_balanced_bipartition_cut(n, edges):
         labels = [0 if v in side else 1 for v in nodes]
         best = min(best, brute_cut(edges, labels))
     return best
+
+
+def fm_refine_reference(adj, node_w, labels, p, cap):
+    """Fiduccia-Mattheyses passes until no improving balanced prefix exists.
+
+    The heap-of-tuples loop that partition._fm_refine replaced, kept to
+    show that the rewrite makes the same moves: every unlocked neighbor of
+    a moved node rebuilds its neighbor-part weights and re-pushes all its
+    moves, and a set of queued entries drops the duplicates.
+
+    Each pass tentatively moves every node at most once, always taking the
+    currently best (gain, smallest id) move whose target stays under a
+    relaxed cap, then rolls back to the best strictly balanced prefix. On
+    exit no single feasible move strictly reduces the cut, so the result is
+    locally minimal under single-node moves.
+    """
+    n = len(adj)
+    if p == 1 or n == 0:
+        return labels
+    max_w = max(node_w)
+    relaxed = cap + max_w
+    part_w = [0.0] * p
+    for u in range(n):
+        part_w[labels[u]] += node_w[u]
+
+    def neighbor_parts(u):
+        d = {}
+        for v, w in adj[u].items():
+            lv = labels[v]
+            d[lv] = d.get(lv, 0.0) + w
+        return d
+
+    for _ in range(MAX_FM_PASSES):
+        cut = _cut_of(adj, labels)
+        start_cut = cut
+        feasible0 = max(part_w) <= cap
+        locked = [False] * n
+        heap = []
+        # the entries now in the heap: a second identical copy would be
+        # popped right behind the first and repeat its outcome or do nothing
+        queued = set()
+        # each unlocked node's neighbor_parts as of its last push_moves; a
+        # move re-pushes every unlocked neighbor, so the dict is current
+        # whenever an unlocked node's entry is popped
+        nbp_of = [None] * n
+
+        def push(entry):
+            if entry not in queued:
+                queued.add(entry)
+                heapq.heappush(heap, entry)
+
+        def push_moves(u):
+            nbp = nbp_of[u] = neighbor_parts(u)
+            own = nbp.get(labels[u], 0.0)
+            for tgt, wsum in nbp.items():
+                if tgt != labels[u]:
+                    push((-(wsum - own), u, tgt))
+
+        for u in range(n):
+            if any(labels[v] != labels[u] for v in adj[u]):
+                push_moves(u)
+
+        moves = []
+        best_idx = -1
+        best_cut = cut if feasible0 else math.inf
+        best_feasible = feasible0
+        while heap:
+            entry = heapq.heappop(heap)
+            queued.remove(entry)
+            neg_gain, u, tgt = entry
+            if locked[u] or labels[u] == tgt:
+                continue
+            nbp = nbp_of[u]
+            gain = nbp.get(tgt, 0.0) - nbp.get(labels[u], 0.0)
+            if -neg_gain != gain:
+                push((-gain, u, tgt))
+                continue
+            src = labels[u]
+            if part_w[tgt] + node_w[u] > relaxed:
+                continue
+            if part_w[src] - node_w[u] <= 0.0:
+                continue
+            labels[u] = tgt
+            part_w[src] -= node_w[u]
+            part_w[tgt] += node_w[u]
+            locked[u] = True
+            nbp_of[u] = None
+            cut -= gain
+            moves.append((u, src, tgt))
+            feasible = max(part_w) <= cap
+            if (feasible and not best_feasible) or (
+                feasible == best_feasible and cut < best_cut
+            ):
+                best_idx = len(moves) - 1
+                best_cut = cut
+                best_feasible = feasible
+            # the heap orders entries by value, so push order is immaterial
+            for v in adj[u]:
+                if not locked[v]:
+                    push_moves(v)
+        # roll back past the best prefix
+        for u, src, tgt in reversed(moves[best_idx + 1:]):
+            labels[u] = src
+            part_w[tgt] -= node_w[u]
+            part_w[src] += node_w[u]
+        improved = best_cut < start_cut or (best_feasible and not feasible0)
+        if not improved:
+            break
+    return labels
 
 
 def prelu(z, slope):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_partition_writes_labels_stats_manifest(tmp_path):
     assert manifest["version"] == "0.1.0"
     assert manifest["wall_clock_seconds"] >= 0.0
     assert manifest["numpy_version"] == np.__version__
+    # what can make two runs of one install differ in their last bits
+    assert isinstance(manifest["blas"], str) and manifest["blas"]
+    assert manifest["blas_thread_env"] == {
+        k: os.environ.get(k)
+        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_partition_is_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from degnn.errors import DomainError, ParseError
 from degnn.graphs import Graph, connected_components
 from degnn.partition import (
     Partition,
+    _fm_refine,
     cut_edges,
     cut_weight,
     import_partition,
@@ -20,6 +22,7 @@ from degnn.train import SBMSpec, generate_sbm
 from oracles import (
     best_balanced_bipartition_cut,
     brute_cut,
+    fm_refine_reference,
     random_balanced_partition,
 )
 
@@ -289,3 +292,79 @@ def test_labels_pinned_across_rewrites():
         part = multilevel_partition(g, p, seed=seed)
         got[name] = hashlib.sha256(part.labels.tobytes()).hexdigest()
     assert got == PINNED_LABELS
+
+
+def _fm_starts():
+    """Seeded (adj, node_w, labels, p, cap) inputs for one FM refinement.
+
+    Edge weights are unit, integers above 1, uniform floats, or tenths
+    (whose sums depend on their order and whose gains often tie); node
+    weights are unit or heavy, as at coarse levels. Each graph starts from
+    random labels, from part 0 filled to the relaxed cap (every move into
+    it is dropped until a node leaves it), and from single-node parts
+    (every move out of one is dropped).
+    """
+    rng = np.random.default_rng(1010)
+    for trial in range(8):
+        for kind in ("unit", "integer", "float", "tenths"):
+            n = int(rng.integers(40, 130))
+            p = int(rng.integers(2, 17))
+            m = int(rng.integers(2 * n, 4 * n))
+            pairs = set()
+            while len(pairs) < m:
+                i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+                if i != j:
+                    pairs.add((i, j))
+            if kind == "unit":
+                ws = [1.0] * m
+            elif kind == "integer":
+                ws = [float(w) for w in rng.integers(2, 6, size=m)]
+            elif kind == "float":
+                ws = [float(w) for w in rng.uniform(0.5, 2.0, size=m)]
+            else:
+                ws = [float(w) for w in rng.choice([0.1, 0.2, 0.3, 0.7], m)]
+            adj = [dict() for _ in range(n)]
+            for (i, j), w in zip(sorted(pairs), ws):
+                adj[i][j] = adj[j][i] = w
+            if trial % 2:
+                node_w = [float(w) for w in rng.integers(1, 9, size=n)]
+            else:
+                node_w = [1.0] * n
+            cap = max(1.3 * sum(node_w) / p, math.ceil(sum(node_w) / p))
+            relaxed = cap + max(node_w)
+
+            labels = [int(v) for v in rng.integers(0, p, size=n)]
+            yield adj, node_w, labels, p, cap
+
+            order = [int(v) for v in rng.permutation(n)]
+            labels = [None] * n
+            filled = 0.0
+            rest = []
+            for u in order:
+                if filled + node_w[u] <= relaxed:
+                    labels[u] = 0
+                    filled += node_w[u]
+                else:
+                    rest.append(u)
+            for u in rest:
+                labels[u] = int(rng.integers(1, p))
+            yield adj, node_w, labels, p, cap
+
+            labels = [int(v) for v in rng.integers(0, 2, size=n)]
+            for k, u in enumerate(order[: p - 2]):
+                labels[u] = k + 2
+            yield adj, node_w, labels, p, cap
+    # a cycle cut into runs of three: every boundary move gains exactly 0
+    for n, p in ((60, 4), (90, 16)):
+        adj = [{(u - 1) % n: 1.0, (u + 1) % n: 1.0} for u in range(n)]
+        labels = [(u // 3) % p for u in range(n)]
+        yield adj, [1.0] * n, labels, p, 1.3 * n / p
+
+
+def test_fm_refine_matches_reference_loop():
+    # the incremental tables and the bucketed queue make the moves, drops
+    # and rollbacks of the loop that recounts and re-pushes everything
+    for case, (adj, node_w, labels, p, cap) in enumerate(_fm_starts()):
+        want = fm_refine_reference(adj, node_w, list(labels), p, cap)
+        got = _fm_refine(adj, node_w, list(labels), p, cap)
+        assert got == want, f"case {case}"

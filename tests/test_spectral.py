@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degnn import spectral
+from degnn import _kernels, spectral
 from degnn.errors import DomainError, NumericError
 from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import kron
@@ -285,6 +285,27 @@ def test_svd_stack_raises_whenever_a_matrix_would(monkeypatch):
             svd(stack, compute_uv=False)
     # the cap range covers both a failing and a converging stack
     assert outcomes == {True, False}
+
+
+def test_svd_sweeps_at_most_max_sweeps(monkeypatch):
+    # the test after the last allowed sweep raises; it does not sweep again
+    sweeps = []
+    inner = _kernels.jacobi_sweep
+
+    def counting(bt, vt, delta):
+        sweeps.append(bt.shape[0])
+        return inner(bt, vt, delta)
+
+    monkeypatch.setattr(_kernels, "jacobi_sweep", counting)
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 2)
+    m = np.random.default_rng(3).normal(size=(8, 8))
+    with pytest.raises(NumericError, match="in 2 sweeps"):
+        svd(m)
+    assert len(sweeps) == 2
+    sweeps.clear()
+    with pytest.raises(NumericError, match="in 2 sweeps"):
+        svd(np.stack([np.eye(8), m]), compute_uv=False)
+    assert len(sweeps) == 2
 
 
 def test_svd_stack_rejects_bad_input():
