@@ -99,7 +99,7 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
 
@@ -109,7 +109,7 @@ def _blas_name():
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         return f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
-        # numpy before 1.26 has no dict mode; a build may omit the entry
+        # an older numpy has no dict mode; a build may omit the entry
         return "unknown"
 
 
@@ -139,7 +139,7 @@ def _emit_manifest(out_dir, subcommand, flags, seed, inputs, started):
         wall_clock_seconds=time.time() - started,
         numpy_version=np.__version__,
         blas=_blas_name(),
-        blas_thread_env={k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+        blas_thread_env={k: os.environ.get(k) for k in _BLAS_THREAD_VARS},
         cpu_count=os.cpu_count(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
