@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .graphs import Graph, connected_components, normalized_adjacency
 from .partition import multilevel_partition
-from .spectral import svd
+from .spectral import _svd_each
 
 
 @dataclass(frozen=True)
@@ -208,13 +208,36 @@ def spectral_split(a, groups):
     groups=n isolates every singular direction in its own piece; groups=1
     returns the input unchanged.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("spectral split needs a square matrix")
+    return spectral_splits([a], [groups])[0]
+
+
+def spectral_splits(mats, groups):
+    """spectral_split(mats[i], groups[i]) for every i, as a list.
+
+    Every matrix is validated first, in input order, with spectral_split's
+    errors; then the SVDs of all matrices of one shape are taken as one
+    batch, and each split is the same bits as a split of its matrix alone.
+    """
+    if len(mats) != len(groups):
+        raise DomainError(
+            f"{len(mats)} matrices but {len(groups)} group counts"
+        )
+    arrays = []
+    for a, count in zip(mats, groups):
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DomainError("spectral split needs a square matrix")
+        n = a.shape[0]
+        if not (1 <= count <= n):
+            raise DomainError(f"need 1 <= groups <= {n}, got {count}")
+        arrays.append(a)
+    return [_split(a, count, res)
+            for a, count, res in zip(arrays, groups, _svd_each(arrays))]
+
+
+def _split(a, groups, res):
+    """The SpectralSplit of square a into groups pieces, from res = svd(a)."""
     n = a.shape[0]
-    if not (1 <= groups <= n):
-        raise DomainError(f"need 1 <= groups <= {n}, got {groups}")
-    res = svd(a)
     if groups == 1:
         return SpectralSplit(
             pieces=(a.copy(),),

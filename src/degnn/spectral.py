@@ -197,6 +197,8 @@ def svd(m, compute_uv=True):
     (degnn._kernels.jacobi_sweep), so row b is the same bits as
     svd(m[b]).sigma. The stack is swept in one working array its own size,
     and each round of a sweep rotates a gathered copy of the rows it pairs.
+    A stack always takes compute_uv=False; the full factors of many
+    matrices at once come from the private _svd_each.
     """
     if np.ndim(m) == 3:
         if compute_uv:
@@ -206,19 +208,30 @@ def svd(m, compute_uv=True):
         return _jacobi(a, with_v=False)[0]
     a = as_matrix(m, "m")
     _check_side(a.shape)
-    sigma, sig_cut, bt, vt = _jacobi(a[None], with_v=compute_uv)
+    sigma, sig_cut, states = _jacobi((a,), with_v=compute_uv)
     if not compute_uv:
         return sigma[0]
-    snorms, order = _sorted_norms(bt[0])
-    bt = bt[0][order]
-    vt = vt[0][order]
-    # significant columns keep their rotated direction; negligible ones get
-    # re-orthonormalized, which perturbs the reconstruction by at most the
-    # negligibility cut per column
+    return _factors(states[0][0], states[1][0], sigma[0], sig_cut[0],
+                    wide=a.shape[0] < a.shape[1])
+
+
+def _factors(bt, vt, sigma, sig_cut, wide):
+    """svd()'s SVDResult of one matrix from its converged working state.
+
+    bt and vt are the matrix's working columns and accumulated V, as rows,
+    as _jacobi leaves them; sigma and sig_cut are its singular values and
+    negligibility cut, and wide says the input had more columns than rows
+    (it was swept transposed). Significant columns keep their rotated
+    direction; negligible ones get re-orthonormalized, which perturbs the
+    reconstruction by at most the negligibility cut per column.
+    """
+    snorms, order = _sorted_norms(bt)
+    bt = bt[order]
+    vt = vt[order]
     ut = np.zeros_like(bt)
     filled = []
     for r in range(len(snorms)):
-        if snorms[r] > sig_cut[0]:
+        if snorms[r] > sig_cut:
             ut[r] = bt[r] / snorms[r]
         else:
             seed_vec = bt[r] / snorms[r] if snorms[r] > 0.0 else None
@@ -227,30 +240,34 @@ def svd(m, compute_uv=True):
 
     u = ut.T.copy()
     v = vt.T.copy()
-    if a.shape[0] < a.shape[1]:
+    if wide:
         u, v = v, u
-    return SVDResult(u=u, sigma=sigma[0], v=v)
+    return SVDResult(u=u, sigma=sigma, v=v)
 
 
 def _jacobi(a, with_v):
-    """Sweep every matrix of stack a to svd()'s stopping rule, as one batch.
+    """Sweep every matrix of a to svd()'s stopping rule, as one batch.
 
-    Each matrix gets its own working state and stopping rule; a converged
-    matrix leaves the batch, so the sweeps shrink as the stack converges.
-    The working states fill one array the size of the stack, bt, and V
-    accumulates in vt when with_v; both are compacted in place as matrices
-    leave. Before each sweep one batched Gram product tests the whole live
-    stack.
+    a is a sequence of 2-D float64 arrays of one shape (a 3-D array is
+    one), each read where it lies, so a matrix gives the same bits
+    whatever its memory layout. Each matrix gets its own working state and
+    stopping rule; a converged matrix leaves the batch, so the sweeps
+    shrink as the stack converges. The working states fill one array the
+    size of the stack, bt, and V accumulates in vt when with_v; both are
+    compacted in place as matrices leave. Before each sweep one batched
+    Gram product tests the whole live stack.
 
-    Returns (sigma, sig_cut, bt, vt): row b of sigma holds the descending
+    Returns (sigma, sig_cut, states): row b of sigma holds the descending
     singular values of a[b] and sig_cut[b] the negligibility cut of its
-    converged working matrix. For a stack of one, bt[0] and vt[0] hold that
-    matrix's converged working state; in a larger stack compaction has
-    overwritten them. Raises NumericError after MAX_SWEEPS sweeps, or on a
-    stall (a sweep that moved no pair of a matrix while its convergence
-    tests still fail).
+    converged working matrix. With with_v, states is (bt, vt), where bt[b]
+    and vt[b] hold matrix b's converged working state: a matrix that
+    converges while others still sweep is copied out before compaction
+    overwrites it. Without with_v, states is None. Raises NumericError
+    after MAX_SWEEPS sweeps, or on a stall (a sweep that moved no pair of a
+    matrix while its convergence tests still fail).
     """
-    count, rows, cols = a.shape
+    count = len(a)
+    rows, cols = np.shape(a[0])
     side, shape_max = min(rows, cols), max(rows, cols)
     bt = np.empty((count, side, shape_max))
     vt = np.zeros((count, side, side if with_v else 0))
@@ -264,6 +281,7 @@ def _jacobi(a, with_v):
     sigma = np.empty((count, side))
     sig_cut = np.empty(count)
     live = np.arange(count)
+    states = None
     rotations = None
     # a convergence test before each sweep and after the last: MAX_SWEEPS
     # sweeps in all
@@ -284,8 +302,16 @@ def _jacobi(a, with_v):
             sigma[done] = np.ldexp(norms * scale[done, None],
                                    exponent[done, None])
         keep = np.flatnonzero(~converged)
+        if with_v and done.size and (keep.size or states is not None):
+            if states is None:
+                states = np.empty_like(bt), np.empty_like(vt)
+            states[0][done] = bt[converged]
+            states[1][done] = vt[converged]
         if not keep.size:
-            return sigma, sig_cut, bt, vt
+            if with_v and states is None:
+                # all converged in one test, before any compaction
+                states = bt, vt
+            return sigma, sig_cut, states
         if swept == MAX_SWEEPS:
             pos = keep[0]
             raise _no_convergence(off[pos], rel[pos], threshold[live[pos]],
@@ -300,23 +326,40 @@ def _jacobi(a, with_v):
         rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
 
 
+def _svd_each(mats, compute_uv=True):
+    """svd(m, compute_uv) of every 2-D array m of mats, in input order.
+
+    Matrices of one shape are swept as one batch, one _jacobi call per
+    shape, each read where it lies. So result i is the same bits as
+    svd(mats[i], compute_uv) for any memory layout, Fortran-ordered and
+    strided views included: an SVDResult with compute_uv, the descending
+    singular values without. Validation is svd()'s, matrix by matrix.
+    """
+    arrays = [as_matrix(m, "m") for m in mats]
+    by_shape = {}
+    for i, a in enumerate(arrays):
+        by_shape.setdefault(a.shape, []).append(i)
+    out = [None] * len(arrays)
+    for shape, idx in by_shape.items():
+        _check_side(shape)
+        sigma, sig_cut, states = _jacobi([arrays[i] for i in idx],
+                                         with_v=compute_uv)
+        for b, i in enumerate(idx):
+            if compute_uv:
+                out[i] = _factors(states[0][b], states[1][b], sigma[b],
+                                  sig_cut[b], wide=shape[0] < shape[1])
+            else:
+                out[i] = sigma[b]
+    return out
+
+
 def _sigma_each(mats):
     """svd(m, compute_uv=False) of every 2-D array m of mats, in input order.
 
-    Matrices of one shape go to svd() as one C-ordered stack, so each shape
-    costs one call. Row i is the same bits as svd(mats[i]).sigma when
-    mats[i] is C-ordered; svd() sums a Fortran-ordered matrix's Frobenius
-    norm in memory order, which may differ in the last bit.
+    One batch per shape, as _svd_each; row i is the same bits as
+    svd(mats[i]).sigma whatever the memory layout of mats[i].
     """
-    by_shape = {}
-    for i, m in enumerate(mats):
-        by_shape.setdefault(np.shape(m), []).append(i)
-    out = [None] * len(mats)
-    for idx in by_shape.values():
-        sigma = svd(np.stack([mats[i] for i in idx]), compute_uv=False)
-        for i, row in zip(idx, sigma):
-            out[i] = row
-    return out
+    return _svd_each(mats, compute_uv=False)
 
 
 def singular_extremes(m):

@@ -14,6 +14,7 @@ from degnn.decompose import (
     random_spanning_forest,
     save_decomposition,
     spectral_split,
+    spectral_splits,
 )
 from degnn.errors import DomainError
 from degnn.graphs import Graph, connected_components, normalized_adjacency
@@ -210,6 +211,48 @@ def test_spectral_split_rejects_bad_input():
         spectral_split(np.eye(3), 4)
     with pytest.raises(DomainError):
         spectral_split(np.eye(3), 0)
+
+
+def test_spectral_splits_match_one_at_a_time():
+    """A batch of mixed shapes and group counts splits like each alone."""
+    rng = np.random.default_rng(5)
+    deficient = rng.normal(size=(4, 4))
+    deficient[:, 0] = deficient[:, -1]
+    mats = [np.eye(4), rng.normal(size=(4, 4)), deficient,
+            rng.normal(size=(2, 2)), np.zeros((3, 3)),
+            np.asfortranarray(rng.normal(size=(4, 4))), np.array([[3.0]]),
+            rng.normal(size=(3, 3))]
+    groups = [4, 2, 4, 1, 3, 3, 1, 2]
+    got = spectral_splits(mats, groups)
+    assert len(got) == len(mats)
+    for a, count, split in zip(mats, groups, got):
+        want = spectral_split(a, count)
+        assert split.groups == want.groups == count
+        assert split.piece_of == want.piece_of
+        assert np.array_equal(split.sigma, want.sigma)
+        assert len(split.pieces) == len(want.pieces)
+        for p, q in zip(split.pieces, want.pieces):
+            assert np.array_equal(p, q)
+    assert spectral_splits([], []) == []
+
+
+@pytest.mark.parametrize("bad, count", [
+    (np.ones((2, 3)), 1),
+    (np.eye(3), 4),
+    (np.eye(3), 0),
+    (np.full((2, 2), np.nan), 1),
+], ids=["not-square", "too-many-groups", "no-groups", "non-finite"])
+def test_spectral_splits_raise_what_spectral_split_raises(bad, count):
+    with pytest.raises(DomainError) as alone:
+        spectral_split(bad, count)
+    with pytest.raises(DomainError) as batched:
+        spectral_splits([np.eye(2), bad, np.eye(3)], [2, count, 1])
+    assert str(batched.value) == str(alone.value)
+
+
+def test_spectral_splits_need_one_group_count_per_matrix():
+    with pytest.raises(DomainError):
+        spectral_splits([np.eye(2), np.eye(2)], [1])
 
 
 def test_stats_duplication():

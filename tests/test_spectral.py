@@ -249,19 +249,78 @@ def test_sigma_each_groups_by_shape_in_input_order(monkeypatch):
     mats = [rng.normal(size=shape) for shape in shapes]
     want = [svd(m, compute_uv=False) for m in mats]
     calls = []
-    inner = spectral.svd
+    inner = spectral._jacobi
 
-    def counting(m, compute_uv=True):
-        calls.append(np.shape(m))
-        return inner(m, compute_uv=compute_uv)
+    def counting(a, with_v):
+        calls.append((np.shape(a[0]), len(a), with_v))
+        return inner(a, with_v)
 
-    monkeypatch.setattr(spectral, "svd", counting)
+    monkeypatch.setattr(spectral, "_jacobi", counting)
     got = spectral._sigma_each(mats)
-    assert len(calls) == len(set(shapes))
-    assert all(len(shape) == 3 for shape in calls)
+    # one batch per shape, in order of first appearance, without V
+    assert calls == [(shape, shapes.count(shape), False)
+                     for shape in dict.fromkeys(shapes)]
     assert len(got) == len(mats)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _assert_same_factors(got, want):
+    assert np.array_equal(got.u, want.u)
+    assert np.array_equal(got.sigma, want.sigma)
+    assert np.array_equal(got.v, want.v)
+
+
+def test_svd_each_factors_match_svd(monkeypatch):
+    """Full factors of a mixed batch are the bits of svd() one at a time."""
+    rng = np.random.default_rng(23)
+    square = rng.normal(size=(6, 6))
+    deficient = rng.normal(size=(6, 6))
+    deficient[:, -1] = deficient[:, 0] + deficient[:, 1]
+    graded = rng.normal(size=(6, 6)) * np.logspace(-12, 0, 6)
+    mats = [
+        # converged before any sweep, ahead of one that sweeps: compaction
+        # moves the random matrix's rows over the identity's
+        np.eye(6), square, np.zeros((6, 6)), deficient, graded,
+        square * 2.0 ** -500, np.diag([3.0, 1.0, 2.0, 0.0, 5.0, 4.0]),
+        rng.normal(size=(4, 9)), np.eye(9)[:4], rng.normal(size=(4, 9)),
+        rng.normal(size=(9, 4)), np.zeros((9, 4)),
+        np.array([[2.5]]), np.zeros((1, 1)), np.array([[-1.0]]),
+    ]
+    want = [svd(m) for m in mats]
+    calls = []
+    inner = spectral._jacobi
+
+    def counting(a, with_v):
+        calls.append((np.shape(a[0]), len(a), with_v))
+        return inner(a, with_v)
+
+    monkeypatch.setattr(spectral, "_jacobi", counting)
+    got = spectral._svd_each(mats)
+    assert calls == [((6, 6), 7, True), ((4, 9), 3, True), ((9, 4), 2, True),
+                     ((1, 1), 3, True)]
+    assert len(got) == len(mats)
+    for g, w in zip(got, want):
+        _assert_same_factors(g, w)
+
+
+def test_svd_each_reads_any_memory_layout():
+    """Fortran-ordered and strided members give the bits of svd(m)."""
+    rng = np.random.default_rng(24)
+    base = rng.normal(size=(12, 10)) * rng.uniform(0.1, 10.0, size=(12, 1))
+    mats = [
+        np.asfortranarray(base[:6, :5]),
+        base[::2, ::2],
+        base[1::2, 1::2].T.copy().T,  # Fortran-ordered via a transpose
+        base[6:, 5:].copy(),
+    ]
+    sigmas = spectral._sigma_each(mats)
+    factors = spectral._svd_each(mats)
+    for m, sigma, res in zip(mats, sigmas, factors):
+        want = svd(m)
+        assert np.array_equal(sigma, want.sigma)
+        _assert_same_factors(res, want)
+        assert np.array_equal(svd(m, compute_uv=False), want.sigma)
 
 
 def test_svd_stack_raises_whenever_a_matrix_would(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the randomized identity self-checks."""
 
+import numpy as np
 import pytest
 from oracles import (
     check_kron_identities_per_trial,
@@ -10,6 +11,7 @@ from oracles import (
 from degnn.errors import DomainError
 from degnn.verify import (
     SUITES,
+    TRIAL_BLOCK,
     CheckReport,
     check_kron_identities,
     check_linearization,
@@ -71,7 +73,48 @@ def test_report_summary_format():
 ], ids=["lemma3", "kron", "regimes"])
 def test_batched_suites_match_per_trial_reference(check, reference):
     """Stacking the SVDs across trials changes no field of a report."""
-    for seed in range(5):
-        got = check(trials=40, seed=seed)
-        want = reference(trials=40, seed=seed)
-        assert got == want, (seed, got, want)
+    # the last run spans three trial blocks, the third one partial
+    runs = [(seed, 40) for seed in range(5)] + [(11, 2 * TRIAL_BLOCK + 17)]
+    for seed, trials in runs:
+        got = check(trials=trials, seed=seed)
+        want = reference(trials=trials, seed=seed)
+        assert got == want, (seed, trials, got, want)
+
+
+def test_regimes_trials_get_the_reference_inputs(monkeypatch):
+    """check_regimes builds every trial from the per-trial loop's draws.
+
+    A regimes report holds pass counts and the worst bound excess, which
+    is 0.0 in most runs, so it cannot show a reordered draw. The realized
+    end-to-end maps and the decomposed layers' operators can.
+    """
+    from degnn import propagate, spectral, verify
+
+    seen = []
+
+    def spy(fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append(out if isinstance(out, tuple) else (out,))
+            return out
+        return recorded
+
+    # the suite looks linearized_map up in degnn.verify, the reference loop
+    # in degnn.propagate; both regime classifiers reach composite_operator
+    # through degnn.spectral
+    monkeypatch.setattr(verify, "linearized_map",
+                        spy(propagate.linearized_map))
+    monkeypatch.setattr(propagate, "linearized_map",
+                        spy(propagate.linearized_map))
+    monkeypatch.setattr(spectral, "composite_operator",
+                        spy(spectral.composite_operator))
+    for seed, trials in ((3, 40), (11, 2 * TRIAL_BLOCK + 17)):
+        seen.clear()
+        check_regimes(trials=trials, seed=seed)
+        got = list(seen)
+        seen.clear()
+        check_regimes_per_trial(trials, seed)
+        assert len(got) == len(seen) > trials
+        for g, w in zip(got, seen):
+            assert len(g) == len(w)
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))

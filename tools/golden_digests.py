@@ -13,10 +13,11 @@ Two trees whose outputs are byte-identical print identical lines, so
 
     diff <(python3 tools/golden_digests.py A) <(python3 tools/golden_digests.py B)
 
-is the byte-identity check. The set covers decay, verify, train for every
-backbone (vanilla and random-decomposed), partition, connectivity-aware
-decompose, and the k and depth sweeps with both the random and the
-connectivity-aware decomposition. It takes a few minutes on two cores.
+is the byte-identity check. The set covers decay, verify (also at a trial
+count that the suites run in several blocks), train for every backbone
+(vanilla and random-decomposed), partition, connectivity-aware decompose,
+and the k and depth sweeps with both the random and the connectivity-aware
+decomposition. It takes a few minutes on two cores.
 """
 
 import hashlib
@@ -65,6 +66,8 @@ def commands(work):
         ("decay", ["decay", "--edges", str(cycle), "--depths", "1..6",
                    "--samples", "4", "--dim", "3"]),
         ("verify", ["verify", "--trials", "40"]),
+        # more trials than one batch of the verify suites holds
+        ("verify_blocks", ["verify", "--trials", "300", "--seed", "11"]),
         ("partition", ["partition", "--edges", str(planted), "--p", "16",
                        "--seed", "3"]),
         ("decompose_ca", ["decompose", "--edges", str(planted),
