@@ -211,6 +211,7 @@ def _draw_regime_trial(kind, rng):
         trial["weights"] = [rng.normal(size=(d, d)) for _ in range(depth)]
         trial["x"] = rng.normal(size=n * d)
     elif kind == 1:
+        # orthogonal weights, amplified orthogonal propagation: preserve
         gain = float(rng.uniform(1.0 / slope + 0.05, 1.0 / slope + 1.0))
         trial["a_mat"] = gain * _random_orthogonal(n, rng)
         trial["weights"] = [_random_orthogonal(d, rng) for _ in range(depth)]
