@@ -63,4 +63,7 @@ def kron(a, b):
     """Kronecker product of an m x n and a k x l matrix: (m*k) x (n*l) blocks a_ij * b."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    return np.kron(a, b)
+    # np.kron's own broadcast product, without its axis bookkeeping, which
+    # costs several times the product on the small matrices verify builds
+    (m, n), (k, l) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, n * l)

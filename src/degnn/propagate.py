@@ -18,11 +18,11 @@ import numpy as np
 from .errors import DomainError
 from .linalg import as_matrix, as_vector, vec
 from .spectral import (
+    _sigma_each,
     composite_operator,
     gcn_regime,
     graphcnn_regime,
     singular_extremes,
-    svd,
 )
 
 
@@ -265,6 +265,31 @@ DECAY_COLUMNS = (
 )
 
 
+# bytes of end-to-end products that decay_curve holds for one singular-value
+# batch (32 MiB): consecutive requested depths share a batch while their
+# products fit, so the Jacobi kernel sweeps about as often as the slowest of
+# them needs, not once per depth
+DECAY_BATCH_BYTES = 1 << 25
+
+
+def _batches(sizes, cap):
+    """Consecutive runs of positions into sizes, each summing to at most cap.
+
+    Runs are filled greedily in order; a size above cap alone makes a run of
+    one.
+    """
+    runs = []
+    total = 0
+    for pos, size in enumerate(sizes):
+        if runs and total + size <= cap:
+            runs[-1].append(pos)
+            total += size
+        else:
+            runs.append([pos])
+            total = size
+    return runs
+
+
 def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     """Certificate bound vs realized behavior at each prefix depth.
 
@@ -275,14 +300,21 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     entropy of the depth-l outputs. inputs may supply explicit feature
     matrices; otherwise n_samples are drawn at unit max-abs scale by seed.
 
-    All samples advance one layer at a time, and each requested depth's
-    end-to-end maps go to svd() as one stack (singular values only). The
-    products live in one (n_samples, rows, cols) array, updated in place
-    while the feature width stays the same. Peak memory is about four such
-    arrays: svd() sweeps a working copy of the whole stack, each round of a
-    sweep rotates a gathered copy of the rows it pairs up (tracemalloc peak:
-    4.4 stacks for 16 products of 80 x 80), and a layer that changes the
-    width builds its products in a new array.
+    All samples advance one layer at a time. The products live in one
+    (n_samples, rows, cols) array, updated in place while the feature width
+    stays the same, so each requested depth's products are copied out
+    unless their singular values are taken at once. Consecutive requested
+    depths are held until their products would pass DECAY_BATCH_BYTES,
+    then all of them go to the SVD kernel as one batch (_sigma_each,
+    singular values only); a depth whose products alone pass it is taken
+    alone. Each matrix keeps its own stopping rule, so row values are the
+    bits of one svd() per depth. Peak memory is about five times the
+    batch: the held products, the kernel's working copy of them, and each
+    round of a sweep rotates a gathered copy of the rows it pairs up
+    (tracemalloc peak: 31 stacks for depths 1..6 of 16 products of
+    80 x 80, and 5.5 stacks for depth 6 alone). So it stays within about
+    five times DECAY_BATCH_BYTES, or five and a half times one depth's
+    products when they alone pass it.
     """
     depths = [int(d) for d in depths]
     if not depths or depths != sorted(set(depths)):
@@ -300,7 +332,11 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
 
     per_layer = stack.regime().bound_per_layer
     want = set(depths)
+    sizes = [inputs.nbytes * stack.layer_weights[d - 1][0].shape[1]
+             * stack.n for d in depths]
+    last = {depths[run[-1]] for run in _batches(sizes, DECAY_BATCH_BYTES)}
     rows = []
+    held = []  # the products of each row since the last batch
     products = None  # per sample: the realized end-to-end product so far
     layers = _realized_layers(stack.prefix(depths[-1]), inputs)
     for li, (m, masks, outputs) in enumerate(layers, start=1):
@@ -314,19 +350,27 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
         products = nxt
         if li not in want:
             continue
-        sigma = svd(products, compute_uv=False)
         rows.append(
             {
                 "depth": li,
                 "bound": per_layer**li,
-                "max_sv": float(sigma[:, 0].max()),
-                "min_sv": float(sigma[:, -1].min()),
+                "max_sv": None,
+                "min_sv": None,
                 "entropy_bits": quantized_entropy(outputs, epsilon),
                 "n_samples": n_samples,
                 "epsilon": epsilon,
                 "seed": int(seed),
             }
         )
+        held.append(products if li in last else products.copy())
+        if li not in last:
+            continue
+        sigma = _sigma_each([p for h in held for p in h])
+        for b, row in enumerate(rows[-len(held):]):
+            per_sample = np.array(sigma[b * n_samples:(b + 1) * n_samples])
+            row["max_sv"] = float(per_sample[:, 0].max())
+            row["min_sv"] = float(per_sample[:, -1].min())
+        held = []
     return rows
 
 

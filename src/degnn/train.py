@@ -11,9 +11,10 @@ The core is PieceOperator: each layer's pieces are one sparse entry list
 built from the decomposition's edges, with the diagonal and skeleton that
 all pieces share stored once. A pass costs O(nnz * width) time and memory
 for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), and
-no n x n array is ever formed. Measured on a shared 2-core Intel Xeon host:
-a 20,000-node block model of average degree 4.5 trains a depth-8, K=5 gcn
-at 0.22-0.27 s an epoch, with the train command peaking at about 500 MiB.
+no n x n array is ever formed. Measured on a shared 2-core Intel Xeon host
+with one BLAS thread: a 20,000-node block model of average degree 4.5
+trains a depth-8, K=5 gcn at 0.22-0.40 s an epoch, and building it and
+running three epochs peaks at about 300 MiB RSS (tools/train_memory.py).
 """
 
 import warnings
@@ -314,20 +315,30 @@ class PieceOperator:
     flat float64 array of at least nnz * width entries that the operators
     of one model share, since their layers run one at a time; so the
     operators of one model are not safe to call from two threads at once.
-    A bincount over precomputed keys then sums the products per row
-    (forward) or per (row, slot) (backward). The two key arrays hold
-    nnz * width entries each, the rest of the operator a few arrays of
-    length nnz.
+    A bincount over int64 keys then sums the products per row (forward) or
+    per (row, slot) (backward). Each key array holds nnz * width entries.
+    The row keys, (rows * width + lane) in entry order, depend only on the
+    sorted rows, which hold every node's self loop and its edges whatever
+    the decomposition, so the operators of one model and width share one
+    row-key array, passed in as row_keys; the constructor raises
+    DomainError when its own rows differ from them. The run keys are built
+    on the first backward gather. The rest of the operator is a few arrays
+    of length nnz.
 
     The first layer always reads the same features, so fix_input propagates
     them once per slot: calls whose input is that array (by identity) then
     need only dense products of n rows, and every other input takes the
-    gather path.
+    gather path. A first layer that no other layer shares therefore never
+    builds its run keys.
     """
 
-    def __init__(self, n, k, rows, cols, slots, vals, width, buf):
+    def __init__(self, n, k, rows, cols, slots, vals, width, buf, row_keys):
         order = np.lexsort((cols, slots, rows))
         rows, cols, slots = rows[order], cols[order], slots[order]
+        if (len(row_keys) != len(rows) * width
+                or not np.array_equal(row_keys[::width] // width, rows)):
+            raise DomainError("the shared row keys do not match the "
+                              "operator's rows")
         self.n = n
         self.k = k
         self.slots = k + 1 if k > 1 else 1
@@ -336,10 +347,9 @@ class PieceOperator:
         # row c * slots + s of (H V_0 | ... | H V_shared), viewed as
         # (n * slots, width), is row c of H V_s
         self.stacked_cols = cols * self.slots + slots
-        lanes = np.arange(width)
-        self.row_keys = (rows[:, None] * width + lanes).ravel()
+        self.row_keys = row_keys
         self.runs = rows * self.slots + slots
-        self.run_keys = (self.runs[:, None] * width + lanes).ravel()
+        self.run_keys = None
         self.buf = buf[: len(order) * width].reshape(len(order), width)
         self.fixed = None
 
@@ -392,6 +402,9 @@ class PieceOperator:
             return None, self._piece_grads(
                 [g[s * d:(s + 1) * d] for s in range(self.slots)])
         width = self.buf.shape[1]
+        if self.run_keys is None:
+            self.run_keys = (self.runs[:, None] * width
+                             + np.arange(width)).ravel()
         self._gather(dz, self.cols)
         u = np.bincount(self.run_keys, self.buf.ravel(),
                         self.n * self.slots * width)
@@ -408,14 +421,16 @@ def _edge_arrays(triples):
     return a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]
 
 
-def _piece_operator(g, k, skeleton, residuals, discount, width, buf):
+def _piece_operator(g, k, skeleton, residuals, discount, width, buf,
+                    row_keys):
     """PieceOperator of k pieces: shared skeleton plus one residual per piece.
 
     skeleton and each of the k residuals are (i, j, w) arrays of edges with
-    i < j. discount divides the shared entries (skeleton and diagonal) by k,
-    so the pieces sum to the whole-graph matrix again. buf is the flat
-    gather buffer the operator shares, at least _entry_count(...) * width
-    long.
+    i < j; together they hold every edge of g once. discount divides the
+    shared entries (skeleton and diagonal) by k, so the pieces sum to the
+    whole-graph matrix again. buf is the flat gather buffer the operator
+    shares, at least _entry_count(...) * width long, and row_keys the row
+    keys that the model's operators of this width share.
     """
     n = g.n
     diag = np.arange(n)
@@ -434,7 +449,7 @@ def _piece_operator(g, k, skeleton, residuals, discount, width, buf):
     off = slice(n, None)
     return PieceOperator(n, k, np.r_[i, j[off]], np.r_[j, i[off]],
                          np.r_[slots, slots[off]], np.r_[vals, vals[off]],
-                         width, buf)
+                         width, buf, row_keys)
 
 
 def _entry_count(g, skeleton, residuals):
@@ -483,7 +498,16 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
     # layers run one at a time, so all operators gather into one buffer
     buf = np.empty(max(_entry_count(g, skeleton, residuals) * width
                        for _, skeleton, residuals, width in parts))
-    ops = [_piece_operator(g, k, skeleton, residuals, discount, width, buf)
+    # every operator's sorted rows are node c once for its self loop and
+    # once per edge at c, whatever the decomposition, so the operators of
+    # one width share one row-key array
+    lo, hi, _ = g.edge_arrays()
+    degree = np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n)
+    rows = np.repeat(np.arange(g.n), degree + 1)
+    row_keys = {width: (rows[:, None] * width + np.arange(width)).ravel()
+                for width in set(widths)}
+    ops = [_piece_operator(g, k, skeleton, residuals, discount, width, buf,
+                           row_keys[width])
            for k, skeleton, residuals, width in parts]
     return [ops[i] for i in which]
 

@@ -9,7 +9,8 @@ replacement changed no result. fm_refine_reference is the partitioner's
 earlier FM refinement; it shares MAX_FM_PASSES and the cut count with
 degnn.partition. The per-trial verify suites at the end are the loops the
 batched suites in degnn.verify replaced; they call the library functions
-under test, one svd() per matrix.
+under test, one svd() per matrix. decay_curve_per_depth is
+degnn.propagate.decay_curve with one svd() per requested depth.
 """
 
 from __future__ import annotations
@@ -496,3 +497,55 @@ def check_regimes_per_trial(trials, seed, tol=1e-9):
         max_err = max(max_err, err)
         passed += ok
     return CheckReport("regimes", passed, trials, max_err)
+
+
+def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
+                          inputs=None):
+    """degnn.propagate.decay_curve with one svd() stack per requested depth."""
+    from degnn.linalg import vec
+    from degnn.propagate import (
+        _check_features,
+        _realized_layers,
+        quantized_entropy,
+        random_unit_features,
+    )
+    from degnn.spectral import svd
+
+    depths = [int(d) for d in depths]
+    if inputs is None:
+        inputs = random_unit_features(stack.n, stack.in_dim, n_samples, seed)
+    else:
+        n_samples = len(inputs)
+    inputs = np.array([vec(_check_features(stack, x, "input"))
+                       for x in inputs])
+
+    per_layer = stack.regime().bound_per_layer
+    want = set(depths)
+    rows = []
+    products = None
+    layers = _realized_layers(stack.prefix(depths[-1]), inputs)
+    for li, (m, masks, outputs) in enumerate(layers, start=1):
+        if products is None or products.shape[1] != m.shape[0]:
+            nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
+        else:
+            nxt = products
+        for s, mask in enumerate(masks):
+            layer_mat = mask[:, None] * m
+            nxt[s] = layer_mat if products is None else layer_mat @ products[s]
+        products = nxt
+        if li not in want:
+            continue
+        sigma = svd(products, compute_uv=False)
+        rows.append(
+            {
+                "depth": li,
+                "bound": per_layer**li,
+                "max_sv": float(sigma[:, 0].max()),
+                "min_sv": float(sigma[:, -1].min()),
+                "entropy_bits": quantized_entropy(outputs, epsilon),
+                "n_samples": n_samples,
+                "epsilon": epsilon,
+                "seed": int(seed),
+            }
+        )
+    return rows

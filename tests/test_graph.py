@@ -150,6 +150,22 @@ def test_vec_stacks_columns():
             assert np.array_equal(v[j * n:(j + 1) * n], x[:, j])
 
 
+def test_kron_matches_numpy_bytes_for_any_layout():
+    rng = np.random.default_rng(5)
+    shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+    layouts = (np.ascontiguousarray, np.asfortranarray,
+               lambda x: np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1])
+    for sa in shapes:
+        for sb in shapes:
+            a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
+            for fa in layouts:
+                for fb in layouts:
+                    a, b = fa(a0), fb(b0)
+                    got, want = kron(a, b), np.kron(a, b)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_vec_of_matrix_product_identity():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -20,8 +20,9 @@ from degnn.propagate import (
     weights_with_top_singular,
     write_decay_csv,
 )
+from degnn.propagate import _batches
 from degnn.spectral import svd
-from oracles import forward_reference
+from oracles import decay_curve_per_depth, forward_reference
 
 
 def _random_gcn_stack(rng, n=None, d=None, depth=None, slope=0.2):
@@ -240,6 +241,34 @@ def test_decay_curve_matches_per_sample_maps_across_widths():
         top = max(s[0] for s in sigmas)
         assert abs(row["max_sv"] - top) <= 1e-13 * top
         assert abs(row["min_sv"] - min(s[-1] for s in sigmas)) <= 1e-13 * top
+
+
+def test_decay_curve_matches_one_svd_per_depth():
+    """Batched singular values give the rows of one svd() stack per depth."""
+    rng = np.random.default_rng(23)
+    widths = [(2, 3), (3, 3), (3, 1), (1, 4), (4, 4), (4, 2)]
+    for variant in ("gcn", "graphcnn"):
+        if variant == "gcn":
+            stack = gcn_stack(rng.normal(size=(5, 5)),
+                              [rng.normal(size=w) for w in widths])
+        else:
+            pieces = [rng.normal(size=(5, 5)) for _ in range(2)]
+            stack = graphcnn_stack(
+                pieces, [[rng.normal(size=w) for _ in pieces] for w in widths])
+        for depths in ([1, 2, 3, 4, 5, 6], [2, 3, 5], [6]):
+            got = decay_curve(stack, depths, n_samples=4, seed=5)
+            assert got == decay_curve_per_depth(stack, depths, n_samples=4,
+                                                seed=5)
+
+
+def test_batches_fill_runs_in_order_up_to_the_cap():
+    assert _batches([], 10) == []
+    assert _batches([3, 3, 3, 3], 10) == [[0, 1, 2], [3]]
+    assert _batches([3, 3, 3, 3], 12) == [[0, 1, 2, 3]]
+    # a size above the cap is taken alone, and starts a fresh run after it
+    assert _batches([4, 20, 4, 4, 4], 10) == [[0], [1], [2, 3], [4]]
+    assert _batches([20, 20], 10) == [[0], [1]]
+    assert _batches([10, 1], 10) == [[0], [1]]
 
 
 def test_decay_curve_preserve_stack_keeps_entropy():

@@ -410,6 +410,82 @@ def test_model_memory_stays_below_one_dense_piece():
     finally:
         tracemalloc.stop()
     assert peak < spec.n * spec.n * 8, peak
+    # int64 keys: one row-key array per width (16 and 10 classes), and run
+    # keys for every layer but the first, whose input is fixed
+    keys = {id(a): a for op in ops for a in (op.row_keys, op.run_keys)
+            if a is not None}
+    nnz = spec.n + 2 * data.graph.m
+    assert sum(a.nbytes for a in keys.values()) == 8 * nnz * (
+        (16 + 10) + (4 * 16 + 10))
+
+
+def _trained_ops(monkeypatch, cfg, **train_kw):
+    """The PieceOperators of one train() run, after its last epoch."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(degnn.train, "build_model", spy)
+    train(cfg, _MIXED, **train_kw)
+    return built[0][0]
+
+
+@pytest.mark.parametrize("source", ["none", "random", "connectivity_aware"])
+def test_operators_of_one_width_share_row_keys(monkeypatch, source):
+    """One row-key array per width, equal to the keys of each operator's rows.
+
+    The first layer's input is fixed, so its operator builds run keys only
+    when a later layer shares it, as every layer of one width does without
+    a decomposition.
+    """
+    k = 1 if source == "none" else 3
+    variants = [(False, True)] if source == "none" else [
+        (discount, with_skeleton)
+        for discount in (False, True) for with_skeleton in (False, True)]
+    for backbone in ("jknet", "densegcn"):
+        for discount, with_skeleton in variants:
+            cfg = _cfg(backbone=backbone, depth=4, k_schedule=(k,) * 4,
+                       max_epochs=3)
+            ops = _trained_ops(monkeypatch, cfg, source=source, seed=1,
+                               p=4, discount=discount,
+                               with_skeleton=with_skeleton)
+            by_width = {}
+            for op in ops:
+                width = op.buf.shape[1]
+                assert by_width.setdefault(width, op.row_keys) is op.row_keys
+                rows = op.runs // op.slots
+                lanes = np.arange(width)
+                assert op.row_keys.dtype == np.int64
+                assert np.array_equal(op.row_keys,
+                                      (rows[:, None] * width + lanes).ravel())
+                if op.run_keys is not None:
+                    assert np.array_equal(
+                        op.run_keys, (op.runs[:, None] * width + lanes).ravel())
+            assert sorted(by_width) == [3, 8]
+            assert (ops[0].run_keys is None) == (source != "none")
+            assert all(op.run_keys is not None for op in ops[1:])
+
+
+def test_piece_operator_rejects_row_keys_of_other_rows():
+    """An operator whose edges are not the graph's refuses the shared keys."""
+    from degnn.train import _edge_arrays, _piece_operator
+
+    g = _MIXED.graph
+    ops, _ = build_model(_cfg(), _MIXED)
+    row_keys, width = ops[-1].row_keys, ops[-1].buf.shape[1]
+    buf = np.empty(len(row_keys))
+    i, j, w = g.edge_arrays()
+    none = _edge_arrays(())
+    # the graph's own edges are accepted
+    _piece_operator(g, 1, none, [(i, j, w)], False, width, buf, row_keys)
+    moved = j.copy()
+    moved[0] = next(c for c in range(g.n) if c not in (i[0], j[0]))
+    for residual in ((i[1:], j[1:], w[1:]), (i, moved, w)):
+        with pytest.raises(DomainError, match="row keys"):
+            _piece_operator(g, 1, none, [residual], False, width, buf,
+                            row_keys)
 
 
 def test_k_sweep_rows_and_aggregates():
