@@ -461,8 +461,8 @@ def test_operators_of_one_width_share_row_keys(monkeypatch, source):
                 assert np.array_equal(op.row_keys,
                                       (rows[:, None] * width + lanes).ravel())
                 if op.run_keys is not None:
-                    assert np.array_equal(
-                        op.run_keys, (op.runs[:, None] * width + lanes).ravel())
+                    runs = op.runs[:, None] * width
+                    assert np.array_equal(op.run_keys, (runs + lanes).ravel())
             assert sorted(by_width) == [3, 8]
             assert (ops[0].run_keys is None) == (source != "none")
             assert all(op.run_keys is not None for op in ops[1:])
