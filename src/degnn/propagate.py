@@ -268,7 +268,9 @@ DECAY_COLUMNS = (
 # bytes of end-to-end products that decay_curve holds for one singular-value
 # batch (32 MiB): consecutive requested depths share a batch while their
 # products fit, so the Jacobi kernel sweeps about as often as the slowest of
-# them needs, not once per depth
+# them needs, not once per depth. A batch near the cap peaks at under five
+# times it: depths 1..6 of 16 products of 200 x 200 hold 29.3 MiB, and
+# decay_curve's tracemalloc peak on them is 151.6 MiB (4.7 times the cap)
 DECAY_BATCH_BYTES = 1 << 25
 
 
@@ -312,9 +314,11 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     batch: the held products, the kernel's working copy of them, and each
     round of a sweep rotates a gathered copy of the rows it pairs up
     (tracemalloc peak: 31 stacks for depths 1..6 of 16 products of
-    80 x 80, and 5.5 stacks for depth 6 alone). So it stays within about
-    five times DECAY_BATCH_BYTES, or five and a half times one depth's
-    products when they alone pass it.
+    80 x 80 or of 200 x 200, the latter a batch of 29.3 MiB peaking at
+    4.7 times DECAY_BATCH_BYTES; 5.5 stacks for depth 6 alone at 80 x 80).
+    So it stays within about five times DECAY_BATCH_BYTES, or five and a
+    half times one depth's products when they alone pass it; that last
+    case was measured on small products only.
     """
     depths = [int(d) for d in depths]
     if not depths or depths != sorted(set(depths)):

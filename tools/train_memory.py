@@ -1,7 +1,7 @@
 """Time and memory of one training model at a given scale, stage by stage.
 
     python3 tools/train_memory.py TREE [--n 20000] [--depth 8] [--k 5]
-                                       [--source random] [--epochs 3]
+                                       [--source random]
 
 TREE is the root of a source checkout; degnn is imported from TREE/src, so
 the same command on two trees compares them. The graph is a 3-block
@@ -9,7 +9,7 @@ stochastic block model of average degree about 4.5 (p_in = 12/n,
 p_out = 0.75/n, 16 feature columns, seed 7), the stand-in for Pubmed at
 n = 19,717. The model is a gcn of hidden width 16 with K pieces per layer
 from the given decomposition source; the script builds it (build_model)
-and runs full-batch epochs as train() does, without early stopping.
+and runs three full-batch epochs as train() does, without early stopping.
 
 The model is built and trained twice in one process. The first run has
 tracemalloc off and gives each stage's seconds and the process's own peak
@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 MB = 1e6
+EPOCHS = 3
 
 
 def _root(a):
@@ -68,7 +69,6 @@ def main(argv=None):
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--k", type=int, default=5)
     parser.add_argument("--source", default="random")
-    parser.add_argument("--epochs", type=int, default=3)
     args = parser.parse_args(argv)
     src = (args.tree / "src").resolve()
     if not (src / "degnn").is_dir():
@@ -82,12 +82,11 @@ def main(argv=None):
     spec = tr.SBMSpec(n=args.n, b=3, p_in=12 / args.n, p_out=0.75 / args.n,
                       d=16)
     # the first run's model is dropped before the second starts
-    seconds = _run(tr, cfg, spec, args.source, args.epochs)[0]
+    seconds = _run(tr, cfg, spec, args.source)[0]
     maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
     try:
-        _, traced, (data, ops) = _run(tr, cfg, spec, args.source,
-                                      args.epochs)
+        _, traced, (data, ops) = _run(tr, cfg, spec, args.source)
     finally:
         tracemalloc.stop()
 
@@ -104,13 +103,12 @@ def main(argv=None):
     print(f"  {'total':<14}{sum(table.values()) / MB:>9.1f}")
     epoch_s = [sec for _, sec in seconds[2:]]
     print(f"build_model_s {seconds[1][1]:.3f}")
-    if epoch_s:
-        print(f"epoch_s min {min(epoch_s):.3f} "
-              f"median {statistics.median(epoch_s):.3f}")
+    print(f"epoch_s min {min(epoch_s):.3f} "
+          f"median {statistics.median(epoch_s):.3f}")
     print(f"ru_maxrss_mib {maxrss_kib / 1024:.1f}")
 
 
-def _run(tr, cfg, spec, source, epochs):
+def _run(tr, cfg, spec, source):
     """([(stage, seconds)], [(traced, traced peak)], (data, operators)).
 
     The traced figures are zero while tracemalloc is off.
@@ -129,7 +127,7 @@ def _run(tr, cfg, spec, source, epochs):
     stage("generate_sbm")
     ops, weights = tr.build_model(cfg, data, source=source, seed=7)
     stage("build_model")
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, EPOCHS + 1):
         _, prob, ys, zs, ins = tr._forward_loss(cfg, ops, weights, data)
         grads = tr._backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
         for layer, glayer in zip(weights, grads):
