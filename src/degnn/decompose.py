@@ -1,11 +1,14 @@
 """Edge decompositions of a graph into K overlapping or disjoint pieces.
 
 Two strategies produce K subgraphs over the original node set: a uniform
-random deal of the edges, and a connectivity-aware construction that first
-shrinks the graph to intra-partition edges, plants a random spanning forest
-of that merged graph into every piece, and deals the remaining edges round
-robin. A third, spectral, construction splits a dense matrix along its
-singular directions.
+random deal of the edges, and a connectivity-aware construction that keeps
+only the intra-partition edges, plants a random spanning forest of them into
+every piece, and deals the remaining edges round robin. A decomposition
+holds each piece as a sorted array of indices into the graph's sorted edge
+arrays (Graph.edge_arrays), so the trainer slices its pieces out of those
+arrays; (i, j, w) triples are formed only to write, draw or test one. A
+third, spectral, construction splits a dense matrix along its singular
+directions.
 """
 
 import json
@@ -20,20 +23,24 @@ from .partition import multilevel_partition
 from .spectral import _svd_each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """K edge sets over a shared node set, with an optional shared skeleton.
 
-    pieces holds one sorted tuple of (i, j, w) triples per piece. skeleton
-    is the common edge set T replicated into every piece by the
-    connectivity-aware strategy; it is empty for the random strategy. p and
-    seed record how the decomposition was drawn, for serialization.
+    edges holds the (i, j, w) arrays of the decomposed graph's edges, i < j,
+    sorted by (i, j), as Graph.edge_arrays returns them. pieces holds one
+    sorted int64 array per piece: the indices into edges of the piece's
+    edges. skeleton holds the sorted indices of the common edge set T that
+    the connectivity-aware strategy replicates into every piece; it is empty
+    for the random strategy. p and seed record how the decomposition was
+    drawn, for serialization. Every array is read-only.
     """
 
     n: int
     k: int
+    edges: tuple
     pieces: tuple
-    skeleton: tuple
+    skeleton: np.ndarray
     source: str
     p: int = 1
     seed: int = 0
@@ -41,37 +48,44 @@ class Decomposition:
     def __post_init__(self):
         if self.k < 1 or len(self.pieces) != self.k:
             raise DomainError(f"need k >= 1 pieces, got k={self.k}")
-        if self.source not in ("random", "connectivity_aware", "spectral"):
+        if self.source not in ("random", "connectivity_aware"):
             raise DomainError(f"unknown decomposition source {self.source!r}")
+        for a in (*self.edges, *self.pieces, self.skeleton):
+            a.flags.writeable = False
+
+    def triples(self, index):
+        """The edges at a sorted index array, as sorted (i, j, w) triples."""
+        i, j, w = self.edges
+        return tuple(zip(i[index].tolist(), j[index].tolist(),
+                         w[index].tolist()))
 
     def piece_graph(self, idx):
         """Piece idx as a Graph over the full node set."""
-        return Graph(self.n, self.pieces[idx])
+        return Graph(self.n, self.triples(self.pieces[idx]))
 
     def edge_union(self):
         """Set of (i, j) pairs appearing in any piece."""
-        return {(i, j) for piece in self.pieces for (i, j, _) in piece}
+        union = np.unique(np.concatenate(self.pieces))
+        return {(i, j) for (i, j, _) in self.triples(union)}
 
 
-def _sorted_triples(triples):
-    return tuple(sorted((int(i), int(j), float(w)) for (i, j, w) in triples))
+def _no_edges():
+    return np.empty(0, dtype=np.int64)
 
 
 def random_decompose(g, k, seed):
     """Deal the edges of g into k pieces of near-equal size.
 
-    The edge list is shuffled by seed, then dealt round robin, so piece
+    The edge order is shuffled by seed, then dealt round robin, so piece
     sizes differ by at most one. Every edge lands in exactly one piece and
     the skeleton is empty.
     """
     k = _check_k(k)
-    rng = np.random.default_rng(seed)
-    edges = g.edge_list()
-    order = rng.permutation(len(edges))
-    shuffled = [edges[i] for i in order]
-    pieces = tuple(_sorted_triples(piece) for piece in _deal(shuffled, k))
+    order = np.random.default_rng(seed).permutation(g.m)
+    pieces = tuple(np.sort(order[t::k]) for t in range(k))
     return Decomposition(
-        n=g.n, k=k, pieces=pieces, skeleton=(), source="random", seed=int(seed)
+        n=g.n, k=k, edges=g.edge_arrays(), pieces=pieces,
+        skeleton=_no_edges(), source="random", seed=int(seed),
     )
 
 
@@ -81,29 +95,17 @@ def _check_k(k):
     return int(k)
 
 
-def _deal(items, k):
-    """Round-robin deal preserving order: item t goes to pile t mod k."""
-    return [items[j::k] for j in range(k)]
+def random_spanning_forest(g, candidates, seed):
+    """Uniformly seeded spanning forest of some of g's edges, as indices.
 
-
-def merged_graph(g, part):
-    """g with every cut edge removed; only intra-part edges survive."""
-    if len(part.labels) != g.n:
-        raise DomainError("partition does not cover the graph")
-    labels = part.labels
-    kept = [(i, j, w) for (i, j, w) in g.edge_list() if labels[i] == labels[j]]
-    return Graph(g.n, kept)
-
-
-def random_spanning_forest(g, seed):
-    """Uniformly seeded spanning forest of g as sorted (i, j, w) triples.
-
-    Scans the edges in a shuffled order and keeps each edge that joins two
-    different trees (union-find), so the result has exactly
-    n - #components edges and touches every component.
+    candidates is a sorted array of indices into g.edge_arrays(). They are
+    scanned in a shuffled order, and each edge that joins two different
+    trees is kept (union-find), so the forest has exactly n - #components
+    edges of the graph the candidates form and touches every component of
+    it. Returns the kept indices, sorted.
     """
-    rng = np.random.default_rng(seed)
-    edges = g.edge_list()
+    lo, hi, _ = g.edge_arrays()
+    scan = candidates[np.random.default_rng(seed).permutation(len(candidates))]
     parent = list(range(g.n))
 
     def find(x):
@@ -113,26 +115,26 @@ def random_spanning_forest(g, seed):
         return x
 
     chosen = []
-    for idx in rng.permutation(len(edges)):
-        i, j, w = edges[idx]
+    for e, i, j in zip(scan.tolist(), lo[scan].tolist(), hi[scan].tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            chosen.append((i, j, w))
-    return _sorted_triples(chosen)
+            chosen.append(e)
+    return np.sort(np.array(chosen, dtype=np.int64))
 
 
 def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
                                  partitions=None):
     """Decompose g into k pieces that all contain one connecting skeleton.
 
-    Pipeline: partition the nodes into p parts; drop the cut edges to get
-    the merged graph; draw a random spanning forest T of the merged graph;
-    deal every remaining edge of g (cut edges included) round robin over
-    the pieces, visiting nodes in id order and each node's higher-id
-    residual neighbors in ascending order with one shared counter. Piece k
-    is its residual share plus all of T. Larger p cuts more edges, which
-    shrinks T and loosens the connectivity the pieces inherit.
+    Pipeline: partition the nodes into p parts; keep the intra-part edges
+    (the merged graph, g without its cut edges); draw a random spanning
+    forest T of them; deal every remaining edge of g (cut edges included)
+    round robin over the pieces in sorted edge order, which visits nodes in
+    id order and each node's higher-id neighbors in ascending order with one
+    shared counter. Piece t is its residual share plus all of T. Larger p
+    cuts more edges, which shrinks T and loosens the connectivity the pieces
+    inherit.
 
     with_skeleton=False keeps the dealing order but plants no forest, so
     the pieces partition the edge set exactly.
@@ -151,26 +153,19 @@ def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
     key = (g, p, seed)
     if key not in partitions:
         partitions[key] = multilevel_partition(g, p, seed=seed_part)
-    part = partitions[key]
-    gm = merged_graph(g, part)
+    labels = partitions[key].labels
+    lo, hi, _ = g.edge_arrays()
     if with_skeleton:
-        skeleton = random_spanning_forest(gm, seed_forest)
+        intra = np.flatnonzero(labels[lo] == labels[hi])
+        skeleton = random_spanning_forest(g, intra, seed_forest)
     else:
-        skeleton = ()
-    in_skeleton = {(i, j) for (i, j, _) in skeleton}
-
-    shares = [[] for _ in range(k)]
-    counter = 0
-    for i in range(g.n):
-        for j in sorted(g.neighbors(i)):
-            if j <= i or (i, j) in in_skeleton:
-                continue
-            shares[counter].append((i, j, g.weight(i, j)))
-            counter = (counter + 1) % k
-    pieces = tuple(_sorted_triples(list(skeleton) + share) for share in shares)
+        skeleton = _no_edges()
+    residual = np.delete(np.arange(g.m), skeleton)
+    pieces = tuple(np.union1d(skeleton, residual[t::k]) for t in range(k))
     return Decomposition(
         n=g.n,
         k=k,
+        edges=g.edge_arrays(),
         pieces=pieces,
         skeleton=skeleton,
         source="connectivity_aware",
@@ -294,18 +289,20 @@ def piece_matrices(g, d, discount=False):
     if d.n != g.n:
         raise DomainError("decomposition is over a different node set")
     k = d.k
-    shared = {(i, j) for (i, j, _) in d.skeleton}
+    lo, hi, _ = d.edges
+    shared = np.zeros(len(lo), dtype=bool)
+    shared[d.skeleton] = True
     base = normalized_adjacency(g)
     out = []
     for piece in d.pieces:
         m = np.zeros_like(base)
         np.fill_diagonal(m, np.diag(base) / (k if discount else 1))
-        for (i, j, _) in piece:
-            v = base[i, j]
-            if discount and (i, j) in shared:
-                v = v / k
-            m[i, j] = v
-            m[j, i] = v
+        i, j = lo[piece], hi[piece]
+        v = base[i, j]
+        if discount:
+            v = np.where(shared[piece], v / k, v)
+        m[i, j] = v
+        m[j, i] = v
         out.append(m)
     return out
 
@@ -338,9 +335,9 @@ def save_decomposition(d, dir_path):
     """Write piece_<i>.txt edge lists, skeleton.txt, and meta.json."""
     os.makedirs(dir_path, exist_ok=True)
 
-    def dump(path, triples):
+    def dump(path, index):
         with open(path, "w", encoding="utf-8") as fh:
-            for (i, j, w) in triples:
+            for (i, j, w) in d.triples(index):
                 fh.write(f"{i} {j} {w!r}\n")
 
     for idx, piece in enumerate(d.pieces):
@@ -359,7 +356,11 @@ def save_decomposition(d, dir_path):
 
 
 def load_decomposition(dir_path):
-    """Inverse of save_decomposition."""
+    """Inverse of save_decomposition.
+
+    The edges are the union of the files' edges, sorted; an edge that two
+    files give different weights raises ParseError.
+    """
     meta_path = os.path.join(dir_path, "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -368,8 +369,10 @@ def load_decomposition(dir_path):
         raise ParseError(f"cannot read decomposition metadata: {exc}",
                          path=meta_path) from None
 
+    weights = {}
+
     def slurp(path):
-        triples = []
+        pairs = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
@@ -378,19 +381,33 @@ def load_decomposition(dir_path):
                 fields = text.split()
                 if len(fields) != 3:
                     raise ParseError("expected 'i j w'", path=path, line=lineno)
-                triples.append((int(fields[0]), int(fields[1]), float(fields[2])))
-        return _sorted_triples(triples)
+                pair, w = (int(fields[0]), int(fields[1])), float(fields[2])
+                if weights.setdefault(pair, w) != w:
+                    raise ParseError(f"edge {pair} has two weights", path=path,
+                                     line=lineno)
+                pairs.append(pair)
+        return pairs
 
-    pieces = tuple(
-        slurp(os.path.join(dir_path, f"piece_{idx}.txt"))
-        for idx in range(int(meta["k"]))
-    )
+    k = int(meta["k"])
+    files = [slurp(os.path.join(dir_path, f"piece_{idx}.txt"))
+             for idx in range(k)]
     skeleton = slurp(os.path.join(dir_path, "skeleton.txt"))
+    order = sorted(weights)
+    index = {pair: e for e, pair in enumerate(order)}
+    edges = (np.array([i for i, _ in order], dtype=np.int64),
+             np.array([j for _, j in order], dtype=np.int64),
+             np.array([weights[pair] for pair in order], dtype=np.float64))
+
+    def indices(pairs):
+        return np.sort(np.array([index[pair] for pair in pairs],
+                                dtype=np.int64))
+
     return Decomposition(
         n=int(meta["n"]),
-        k=int(meta["k"]),
-        pieces=pieces,
-        skeleton=skeleton,
+        k=k,
+        edges=edges,
+        pieces=tuple(indices(pairs) for pairs in files),
+        skeleton=indices(skeleton),
         source=str(meta["source"]),
         p=int(meta.get("p", 1)),
         seed=int(meta.get("seed", 0)),

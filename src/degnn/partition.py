@@ -122,8 +122,9 @@ def import_partition(path, n):
 
 
 def _adjacency_lists(g):
-    adj = [dict(g.neighbors(v)) for v in range(g.n)]
-    return adj
+    # g's own neighbor dicts, not copies: nothing here writes to the finest
+    # level's adjacency, and every coarser level is built afresh
+    return [g.neighbors(v) for v in range(g.n)]
 
 
 def _contract(adj, node_w, rng):

@@ -192,12 +192,6 @@ def linearized_map(stack, x):
     return product, product @ x
 
 
-def endtoend_extremes(stack, x):
-    """(largest, smallest) singular value of the realized end-to-end map."""
-    product, _ = linearized_map(stack, x)
-    return singular_extremes(product)
-
-
 def quantized_entropy(samples, epsilon):
     """log2 of the number of distinct epsilon-quantized sample vectors.
 

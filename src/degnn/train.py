@@ -11,10 +11,14 @@ The core is PieceOperator: each layer's pieces are one sparse entry list
 built from the decomposition's edges, with the diagonal and skeleton that
 all pieces share stored once. A pass costs O(nnz * width) time and memory
 for nnz = n + 2 * (edges in the layer's pieces, skeleton counted once), and
-no n x n array is ever formed. Measured on a shared 2-core Intel Xeon host
-with one BLAS thread: a 20,000-node block model of average degree 4.5
-trains a depth-8, K=5 gcn at 0.22-0.40 s an epoch, and building it and
-running three epochs peaks at about 300 MiB RSS (tools/train_memory.py).
+no n x n array is ever formed. Each layer's pieces are sliced out of the
+graph's edge arrays by the decomposition's index arrays. Measured on a
+shared 2-core Intel Xeon host with one BLAS thread: a 20,000-node block
+model of average degree 4.5 builds a depth-8, K=5 gcn of random pieces in
+0.27-0.30 s and trains it at 0.22-0.40 s an epoch. train() with three
+epochs peaks at 296 MiB RSS, close to tools/train_memory.py's 297 MiB,
+because both free each epoch's arrays before the next forward pass; with
+two epochs' arrays alive at once, train() peaked at 311 MiB.
 """
 
 import warnings
@@ -415,46 +419,36 @@ class PieceOperator:
             [g[:, s * width:(s + 1) * width] for s in range(self.slots)])
 
 
-def _edge_arrays(triples):
-    """(i, j, w) arrays of a sequence of (i, j, w) triples."""
-    a = np.array(triples, dtype=np.float64).reshape(-1, 3)
-    return a[:, 0].astype(np.int64), a[:, 1].astype(np.int64), a[:, 2]
-
-
 def _piece_operator(g, k, skeleton, residuals, discount, width, buf,
                     row_keys):
     """PieceOperator of k pieces: shared skeleton plus one residual per piece.
 
-    skeleton and each of the k residuals are (i, j, w) arrays of edges with
-    i < j; together they hold every edge of g once. discount divides the
-    shared entries (skeleton and diagonal) by k, so the pieces sum to the
-    whole-graph matrix again. buf is the flat gather buffer the operator
-    shares, at least _entry_count(...) * width long, and row_keys the row
+    skeleton and each of the k residuals are index arrays into
+    g.edge_arrays(); together they hold every edge of g once. discount
+    divides the shared entries (skeleton and diagonal) by k, so the pieces
+    sum to the whole-graph matrix again. buf is the flat gather buffer the
+    operator shares, at least (n + 2 m) * width long, and row_keys the row
     keys that the model's operators of this width share.
     """
     n = g.n
+    lo, hi, weight = g.edge_arrays()
+    upper = np.concatenate([skeleton, *residuals])
     diag = np.arange(n)
+    i = np.r_[diag, lo[upper]]
+    j = np.r_[diag, hi[upper]]
+    w = np.r_[np.ones(n), weight[upper]]
     shared_slot = k if k > 1 else 0
-    upper = [skeleton, *residuals]
-    i = np.concatenate([diag] + [e[0] for e in upper])
-    j = np.concatenate([diag] + [e[1] for e in upper])
-    w = np.concatenate([np.ones(n)] + [e[2] for e in upper])
     slots = np.repeat([shared_slot, shared_slot, *range(k)],
-                      [n] + [len(e[0]) for e in upper])
+                      [n, len(skeleton), *map(len, residuals)])
     vals = normalized_values(g, i, j, w)
     if discount:
-        shared = slice(0, n + len(skeleton[0]))
+        shared = slice(0, n + len(skeleton))
         vals[shared] = vals[shared] / k
     # the diagonal once, each edge in both triangles with the same value
     off = slice(n, None)
     return PieceOperator(n, k, np.r_[i, j[off]], np.r_[j, i[off]],
                          np.r_[slots, slots[off]], np.r_[vals, vals[off]],
                          width, buf, row_keys)
-
-
-def _entry_count(g, skeleton, residuals):
-    """Entries of _piece_operator's operator: the diagonal, each edge twice."""
-    return g.n + 2 * sum(len(e[0]) for e in (skeleton, *residuals))
 
 
 def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
@@ -474,7 +468,7 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
             )
         # every layer propagates with the same matrix, so layers of one
         # width share one operator
-        plain = (1, _edge_arrays(()), [g.edge_arrays()])
+        plain = (1, np.empty(0, dtype=np.int64), [np.arange(g.m)])
         distinct = sorted(set(widths))
         parts = [(*plain, width) for width in distinct]
         which = [distinct.index(width) for width in widths]
@@ -486,18 +480,14 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
         )
         parts = []
         for d, width in zip(decs, widths):
-            skeleton = _edge_arrays(d.skeleton)
-            skeleton_keys = skeleton[0] * g.n + skeleton[1]
-            residuals = []
-            for piece in d.pieces:
-                i, j, w = _edge_arrays(piece)
-                own = ~np.isin(i * g.n + j, skeleton_keys)
-                residuals.append((i[own], j[own], w[own]))
-            parts.append((d.k, skeleton, residuals, width))
+            shared = np.zeros(g.m, dtype=bool)
+            shared[d.skeleton] = True
+            residuals = [piece[~shared[piece]] for piece in d.pieces]
+            parts.append((d.k, d.skeleton, residuals, width))
         which = range(len(parts))
-    # layers run one at a time, so all operators gather into one buffer
-    buf = np.empty(max(_entry_count(g, skeleton, residuals) * width
-                       for _, skeleton, residuals, width in parts))
+    # each operator holds the diagonal and every edge twice, n + 2 m entries,
+    # and layers run one at a time, so all operators gather into one buffer
+    buf = np.empty((g.n + 2 * g.m) * max(widths))
     # every operator's sorted rows are node c once for its self loop and
     # once per edge at c, whatever the decomposition, so the operators of
     # one width share one row-key array
@@ -681,6 +671,8 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
             for layer, glayer in zip(weights, grads):
                 for w, gw in zip(layer, glayer):
                     w -= cfg.lr * gw
+            # free this epoch's arrays before the next forward pass
+            del prob, ys, zs, ins, grads
     return TrainResult(
         train_loss=tuple(hist["train_loss"]),
         train_acc=tuple(hist["train_acc"]),
@@ -691,69 +683,6 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
         epochs_run=len(hist["train_loss"]),
         seed=int(seed),
     )
-
-
-def _sign_pattern(zs):
-    return [z >= 0.0 for z in zs]
-
-
-def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
-                          source="none", p=4, discount=False,
-                          with_skeleton=True):
-    """Max relative error between analytic and central-difference gradients.
-
-    Probes random weight entries. A probe is redrawn, 50 times at most in
-    all, when the base pre-activations sit on the activation kink or when
-    the +/- epsilon evaluations disagree on any activation sign, since the
-    loss is not differentiable across those boundaries.
-    """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise DomainError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    ops, weights = build_model(
-        cfg, data, source=source, seed=seed, p=p, discount=discount,
-        with_skeleton=with_skeleton,
-    )
-    _, prob, ys, zs, ins = _forward_loss(cfg, ops, weights, data)
-    grads = _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    accepted = 0
-    tries = 0
-    while accepted < n_probes and tries < n_probes + 50:
-        tries += 1
-        li = int(rng.integers(cfg.depth))
-        k = int(rng.integers(len(weights[li])))
-        w = weights[li][k]
-        i = int(rng.integers(w.shape[0]))
-        j = int(rng.integers(w.shape[1]))
-
-        orig = w[i, j]
-        w[i, j] = orig + epsilon
-        lp, _, _, zp, _ = _forward_loss(cfg, ops, weights, data)
-        w[i, j] = orig - epsilon
-        lm, _, _, zm, _ = _forward_loss(cfg, ops, weights, data)
-        w[i, j] = orig
-
-        flipped = any(
-            not np.array_equal(a, b)
-            for a, b in zip(_sign_pattern(zp[:-1]), _sign_pattern(zm[:-1]))
-        )
-        near_kink = min(
-            min(float(np.min(np.abs(z))) for z in zp[:-1]),
-            min(float(np.min(np.abs(z))) for z in zm[:-1]),
-        ) < 1e-8
-        if flipped or near_kink:
-            continue
-        fd = (lp - lm) / (2.0 * epsilon)
-        an = grads[li][k][i, j]
-        rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
-        worst = max(worst, rel)
-        accepted += 1
-    if accepted < n_probes:
-        warnings.warn(
-            f"only {accepted}/{n_probes} probes away from activation kinks"
-        )
-    return worst
 
 
 KSWEEP_COLUMNS = ("k", "kind", "seed", "test_acc", "test_mean", "test_std")

@@ -4,19 +4,25 @@ Everything here is deliberately dumb and self-contained: no numpy.linalg
 factorizations, nothing imported from degnn's certified code paths. The
 point is that a bug in the library cannot hide behind the same bug here.
 
-Two exceptions are loops the library replaced, kept to show that the
+The exceptions are loops the library replaced, kept to show that the
 replacement changed no result. fm_refine_reference is the partitioner's
 earlier FM refinement; it shares MAX_FM_PASSES and the cut count with
 degnn.partition. The per-trial verify suites at the end are the loops the
 batched suites in degnn.verify replaced; they call the library functions
 under test, one svd() per matrix. decay_curve_per_depth is
-degnn.propagate.decay_curve with one svd() per requested depth.
+degnn.propagate.decay_curve with one svd() per requested depth. The
+*_decompose_reference functions are the tuple-of-triples decompositions
+that degnn.decompose's index arrays replaced.
+
+endtoend_extremes and finite_diff_gradcheck are test helpers built on the
+library, not oracles: no program code calls them, so they live here.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 
@@ -549,3 +555,164 @@ def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
             }
         )
     return rows
+
+
+# The tuple-based decompositions that the index arrays of
+# degnn.decompose replaced, kept to show that the replacement deals the same
+# edges. Each returns sorted (i, j, w) triples, as Decomposition.triples
+# does.
+
+
+def _sorted_triples(triples):
+    return tuple(sorted((int(i), int(j), float(w)) for (i, j, w) in triples))
+
+
+def random_decompose_reference(g, k, seed):
+    """Pieces of degnn.decompose.random_decompose, as tuples of triples."""
+    rng = np.random.default_rng(seed)
+    edges = g.edge_list()
+    order = rng.permutation(len(edges))
+    shuffled = [edges[i] for i in order]
+    return tuple(_sorted_triples(shuffled[t::k]) for t in range(k))
+
+
+def merged_graph(g, part):
+    """g with every cut edge removed; only intra-part edges survive."""
+    from degnn.errors import DomainError
+    from degnn.graphs import Graph
+
+    if len(part.labels) != g.n:
+        raise DomainError("partition does not cover the graph")
+    labels = part.labels
+    kept = [(i, j, w) for (i, j, w) in g.edge_list() if labels[i] == labels[j]]
+    return Graph(g.n, kept)
+
+
+def random_spanning_forest_reference(g, seed):
+    """Spanning forest of all of g's edges, as sorted triples."""
+    rng = np.random.default_rng(seed)
+    edges = g.edge_list()
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for idx in rng.permutation(len(edges)):
+        i, j, w = edges[idx]
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            chosen.append((i, j, w))
+    return _sorted_triples(chosen)
+
+
+def connectivity_aware_decompose_reference(g, p, k, seed, with_skeleton=True,
+                                           partitions=None):
+    """(pieces, skeleton) of degnn.decompose.connectivity_aware_decompose.
+
+    partitions is the same cache the library function takes, so both can
+    share one partition per (g, p, seed).
+    """
+    from degnn.partition import multilevel_partition
+
+    seed_part, seed_forest = np.random.SeedSequence(seed).spawn(2)
+    if partitions is None:
+        partitions = {}
+    key = (g, p, seed)
+    if key not in partitions:
+        partitions[key] = multilevel_partition(g, p, seed=seed_part)
+    gm = merged_graph(g, partitions[key])
+    if with_skeleton:
+        skeleton = random_spanning_forest_reference(gm, seed_forest)
+    else:
+        skeleton = ()
+    in_skeleton = {(i, j) for (i, j, _) in skeleton}
+    shares = [[] for _ in range(k)]
+    counter = 0
+    for i in range(g.n):
+        for j in sorted(g.neighbors(i)):
+            if j <= i or (i, j) in in_skeleton:
+                continue
+            shares[counter].append((i, j, g.weight(i, j)))
+            counter = (counter + 1) % k
+    pieces = tuple(_sorted_triples(list(skeleton) + share) for share in shares)
+    return pieces, skeleton
+
+
+def endtoend_extremes(stack, x):
+    """(largest, smallest) singular value of the realized end-to-end map."""
+    from degnn.propagate import linearized_map
+    from degnn.spectral import singular_extremes
+
+    product, _ = linearized_map(stack, x)
+    return singular_extremes(product)
+
+
+def _sign_pattern(zs):
+    return [z >= 0.0 for z in zs]
+
+
+def finite_diff_gradcheck(cfg, data, epsilon=1e-5, n_probes=10, seed=0,
+                          source="none", p=4, discount=False,
+                          with_skeleton=True):
+    """Max relative error between analytic and central-difference gradients.
+
+    Probes random weight entries. A probe is redrawn, 50 times at most in
+    all, when the base pre-activations sit on the activation kink or when
+    the +/- epsilon evaluations disagree on any activation sign, since the
+    loss is not differentiable across those boundaries.
+    """
+    from degnn.errors import DomainError
+    from degnn.train import _backward_pass, _forward_loss, build_model
+
+    if not (1e-7 <= epsilon <= 1e-3):
+        raise DomainError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    ops, weights = build_model(
+        cfg, data, source=source, seed=seed, p=p, discount=discount,
+        with_skeleton=with_skeleton,
+    )
+    _, prob, ys, zs, ins = _forward_loss(cfg, ops, weights, data)
+    grads = _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    accepted = 0
+    tries = 0
+    while accepted < n_probes and tries < n_probes + 50:
+        tries += 1
+        li = int(rng.integers(cfg.depth))
+        k = int(rng.integers(len(weights[li])))
+        w = weights[li][k]
+        i = int(rng.integers(w.shape[0]))
+        j = int(rng.integers(w.shape[1]))
+
+        orig = w[i, j]
+        w[i, j] = orig + epsilon
+        lp, _, _, zp, _ = _forward_loss(cfg, ops, weights, data)
+        w[i, j] = orig - epsilon
+        lm, _, _, zm, _ = _forward_loss(cfg, ops, weights, data)
+        w[i, j] = orig
+
+        flipped = any(
+            not np.array_equal(a, b)
+            for a, b in zip(_sign_pattern(zp[:-1]), _sign_pattern(zm[:-1]))
+        )
+        near_kink = min(
+            min(float(np.min(np.abs(z))) for z in zp[:-1]),
+            min(float(np.min(np.abs(z))) for z in zm[:-1]),
+        ) < 1e-8
+        if flipped or near_kink:
+            continue
+        fd = (lp - lm) / (2.0 * epsilon)
+        an = grads[li][k][i, j]
+        rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
+        worst = max(worst, rel)
+        accepted += 1
+    if accepted < n_probes:
+        warnings.warn(
+            f"only {accepted}/{n_probes} probes away from activation kinks"
+        )
+    return worst

@@ -12,7 +12,6 @@ import numpy as np
 
 from degnn.decompose import (
     connectivity_aware_decompose,
-    merged_graph,
     piece_matrices,
     random_decompose,
 )
@@ -34,14 +33,18 @@ from degnn.train import (
     KSWEEP_COLUMNS,
     ModelConfig,
     SBMSpec,
-    finite_diff_gradcheck,
     generate_sbm,
     k_sweep,
     train,
     write_rows_csv,
 )
 from degnn.verify import check_kron_identities, check_split_spectrum
-from oracles import brute_cut, random_balanced_partition
+from oracles import (
+    brute_cut,
+    finite_diff_gradcheck,
+    merged_graph,
+    random_balanced_partition,
+)
 
 
 def _report(num, name, ok, detail):
@@ -182,12 +185,13 @@ def test_06_decomposition_invariants():
         dec = connectivity_aware_decompose(g, p, k, seed=t)
         again = connectivity_aware_decompose(g, p, k, seed=t)
         edges = {(i, j) for (i, j, _) in g.edge_list()}
-        skel = {(i, j) for (i, j, _) in dec.skeleton}
+        skel = {(i, j) for (i, j, _) in dec.triples(dec.skeleton)}
+        pieces = [dec.triples(piece) for piece in dec.pieces]
         ok = dec.edge_union() == edges
-        for piece in dec.pieces:
+        for piece in pieces:
             ok = ok and skel <= {(i, j) for (i, j, _) in piece}
         residual = {}
-        for piece in dec.pieces:
+        for piece in pieces:
             for (i, j, _) in piece:
                 if (i, j) not in skel:
                     residual[(i, j)] = residual.get((i, j), 0) + 1
@@ -199,8 +203,8 @@ def test_06_decomposition_invariants():
         for i in range(dec.k):
             pc = int(connected_components(dec.piece_graph(i)).max()) + 1
             ok = ok and pc <= gm_comp
-        ok = ok and dec.pieces == again.pieces
-        ok = ok and dec.skeleton == again.skeleton
+        ok = ok and pieces == [again.triples(piece) for piece in again.pieces]
+        ok = ok and dec.triples(dec.skeleton) == again.triples(again.skeleton)
         bad += not ok
     elapsed = time.monotonic() - started
     ok = bad == 0 and elapsed < 20.0

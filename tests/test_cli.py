@@ -130,7 +130,7 @@ def test_decompose_random_has_empty_skeleton(tmp_path):
                 "--k", "3", "--out", str(out)])
     assert res.exit_code == 0
     dec = load_decomposition(out)
-    assert dec.source == "random" and dec.skeleton == ()
+    assert dec.source == "random" and len(dec.skeleton) == 0
 
 
 def test_decompose_zero_pieces_exits_2(tmp_path):

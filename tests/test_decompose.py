@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from degnn.decompose import (
-    Decomposition,
-    _deal,
     connectivity_aware_decompose,
     decomposition_stats,
     layer_decompositions,
     load_decomposition,
-    merged_graph,
     piece_matrices,
     random_decompose,
     random_spanning_forest,
@@ -16,13 +13,18 @@ from degnn.decompose import (
     spectral_split,
     spectral_splits,
 )
-from degnn.errors import DomainError
+from degnn.errors import DomainError, ParseError
 from degnn.graphs import Graph, connected_components, normalized_adjacency
 from degnn.partition import Partition, cut_edges, multilevel_partition
+from oracles import (
+    connectivity_aware_decompose_reference,
+    merged_graph,
+    random_decompose_reference,
+)
 
 
-def _pairs(triples):
-    return [(i, j) for (i, j, _) in triples]
+def _pairs(d, index):
+    return [(i, j) for (i, j, _) in d.triples(index)]
 
 
 def _random_graph(n, target_m, rng):
@@ -34,18 +36,16 @@ def _random_graph(n, target_m, rng):
     return Graph(n, sorted(edges))
 
 
-def test_deal_round_robin():
-    # piles by index mod k, order preserved
-    assert _deal([1, 2, 3], 2) == [[1, 3], [2]]
-    assert _deal([1, 2, 3, 4, 5], 3) == [[1, 4], [2, 5], [3]]
-    assert _deal([], 2) == [[], []]
+def _same_pieces(a, b):
+    return len(a.pieces) == len(b.pieces) and all(
+        np.array_equal(p, q) for p, q in zip(a.pieces, b.pieces))
 
 
 def test_random_decompose_identity_and_full_split():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     one = random_decompose(g, 1, seed=0)
-    assert _pairs(one.pieces[0]) == [(0, 1), (1, 2), (2, 3)]
-    assert one.skeleton == ()
+    assert _pairs(one, one.pieces[0]) == [(0, 1), (1, 2), (2, 3)]
+    assert len(one.skeleton) == 0
 
     per_edge = random_decompose(g, 3, seed=5)
     assert sorted(len(p) for p in per_edge.pieces) == [1, 1, 1]
@@ -59,10 +59,10 @@ def test_random_decompose_properties():
         d = random_decompose(g, k, seed=trial)
         sizes = [len(p) for p in d.pieces]
         assert max(sizes) - min(sizes) <= 1
-        all_pairs = [e for p in d.pieces for e in _pairs(p)]
+        all_pairs = [e for p in d.pieces for e in _pairs(d, p)]
         assert sorted(all_pairs) == [(i, j) for (i, j, _) in g.edge_list()]
         again = random_decompose(g, k, seed=trial)
-        assert again.pieces == d.pieces
+        assert _same_pieces(again, d)
 
 
 def test_random_decompose_rejects_bad_k():
@@ -76,7 +76,7 @@ def test_merged_graph_drops_cut_edges():
     g = Graph(3, [(0, 1), (1, 2)])
     part = Partition(labels=np.array([0, 0, 1]), p=2)
     gm = merged_graph(g, part)
-    assert _pairs(gm.edge_list()) == [(0, 1)]
+    assert [(i, j) for (i, j, _) in gm.edge_list()] == [(0, 1)]
 
     whole = merged_graph(g, Partition(labels=np.zeros(3, dtype=int), p=1))
     assert whole.edge_list() == g.edge_list()
@@ -94,15 +94,20 @@ def test_merged_graph_bridge_between_triangles():
 
 def test_spanning_forest_of_tree_is_tree():
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    t = random_spanning_forest(g, seed=3)
-    assert list(t) == g.edge_list()
+    t = random_spanning_forest(g, np.arange(g.m), seed=3)
+    assert t.dtype == np.int64
+    assert t.tolist() == list(range(g.m))
 
 
 def test_spanning_forest_triangle_and_empty():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    t = random_spanning_forest(g, seed=1)
+    t = random_spanning_forest(g, np.arange(g.m), seed=1)
     assert len(t) == 2
-    assert random_spanning_forest(Graph(4, []), seed=0) == ()
+    empty = Graph(4, [])
+    assert len(random_spanning_forest(empty, np.arange(0), seed=0)) == 0
+    # only the candidate edges are scanned
+    only = random_spanning_forest(g, np.array([1]), seed=1)
+    assert only.tolist() == [1]
 
 
 def test_spanning_forest_properties():
@@ -110,12 +115,15 @@ def test_spanning_forest_properties():
     for trial in range(15):
         g = _random_graph(40, 50, rng)
         n_comp = int(connected_components(g).max()) + 1
-        t = random_spanning_forest(g, seed=trial)
+        t = random_spanning_forest(g, np.arange(g.m), seed=trial)
         assert len(t) == g.n - n_comp
+        assert np.all(np.diff(t) > 0)
         # forest edges form an acyclic subgraph spanning every component
-        forest = Graph(g.n, t)
+        lo, hi, w = g.edge_arrays()
+        forest = Graph(g.n, zip(lo[t].tolist(), hi[t].tolist(), w[t].tolist()))
         assert int(connected_components(forest).max()) + 1 == n_comp
-        assert random_spanning_forest(g, seed=trial) == t
+        again = random_spanning_forest(g, np.arange(g.m), seed=trial)
+        assert np.array_equal(again, t)
 
 
 def test_connectivity_aware_trivial_cases():
@@ -123,9 +131,9 @@ def test_connectivity_aware_trivial_cases():
     # tree input: residual is empty, every piece is the whole path
     d = connectivity_aware_decompose(path, 1, 3, seed=2)
     for piece in d.pieces:
-        assert _pairs(piece) == [(0, 1), (1, 2), (2, 3)]
+        assert _pairs(d, piece) == [(0, 1), (1, 2), (2, 3)]
     single = connectivity_aware_decompose(path, 1, 1, seed=2)
-    assert _pairs(single.pieces[0]) == [(0, 1), (1, 2), (2, 3)]
+    assert _pairs(single, single.pieces[0]) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_connectivity_aware_triangle_trace():
@@ -133,9 +141,9 @@ def test_connectivity_aware_triangle_trace():
     # goes to piece 0, so piece 1 is exactly the skeleton
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     d = connectivity_aware_decompose(g, 1, 2, seed=0)
-    assert _pairs(d.skeleton) == [(0, 1), (1, 2)]
-    assert _pairs(d.pieces[0]) == [(0, 1), (0, 2), (1, 2)]
-    assert _pairs(d.pieces[1]) == [(0, 1), (1, 2)]
+    assert _pairs(d, d.skeleton) == [(0, 1), (1, 2)]
+    assert _pairs(d, d.pieces[0]) == [(0, 1), (0, 2), (1, 2)]
+    assert _pairs(d, d.pieces[1]) == [(0, 1), (1, 2)]
 
 
 def test_connectivity_aware_invariants():
@@ -147,10 +155,10 @@ def test_connectivity_aware_invariants():
         d = connectivity_aware_decompose(g, p, k, seed=trial)
         edge_pairs = {(i, j) for (i, j, _) in g.edge_list()}
         assert d.edge_union() == edge_pairs
-        skel = set(_pairs(d.skeleton))
+        skel = set(_pairs(d, d.skeleton))
         residual_seen = []
         for piece in d.pieces:
-            piece_pairs = set(_pairs(piece))
+            piece_pairs = set(_pairs(d, piece))
             assert skel <= piece_pairs
             residual_seen += sorted(piece_pairs - skel)
         # non-skeleton edges are covered exactly once
@@ -165,16 +173,94 @@ def test_connectivity_aware_invariants():
             pc = int(connected_components(d.piece_graph(i)).max()) + 1
             assert g_comp <= pc <= gm_comp
         again = connectivity_aware_decompose(g, p, k, seed=trial)
-        assert again.pieces == d.pieces and again.skeleton == d.skeleton
+        assert _same_pieces(again, d)
+        assert np.array_equal(again.skeleton, d.skeleton)
 
 
 def test_connectivity_aware_without_skeleton():
     rng = np.random.default_rng(13)
     g = _random_graph(30, 80, rng)
     d = connectivity_aware_decompose(g, 3, 4, seed=9, with_skeleton=False)
-    assert d.skeleton == ()
-    all_pairs = [e for piece in d.pieces for e in _pairs(piece)]
+    assert len(d.skeleton) == 0
+    all_pairs = [e for piece in d.pieces for e in _pairs(d, piece)]
     assert sorted(all_pairs) == sorted({(i, j) for (i, j, _) in g.edge_list()})
+
+
+def _planted(rng, n, blocks, deg_in=8.0, deg_out=0.8):
+    """Sparse planted-partition graph, as the benchmark's partition input."""
+    block_of = np.arange(n) % blocks
+    members = [np.flatnonzero(block_of == b) for b in range(blocks)]
+    edges = set()
+    target = int(round(n * deg_in / 2))
+    while len(edges) < target:
+        a, c = rng.choice(members[int(rng.integers(0, blocks))], size=2)
+        if a != c:
+            edges.add((int(min(a, c)), int(max(a, c))))
+    target = len(edges) + int(round(n * deg_out / 2))
+    while len(edges) < target:
+        a, c = (int(v) for v in rng.integers(0, n, size=2))
+        if block_of[a] != block_of[c]:
+            edges.add((min(a, c), max(a, c)))
+    return Graph(n, sorted(edges))
+
+
+def _reference_graphs():
+    """(graph, p) cases: small shapes, weighted, disconnected and planted."""
+    rng = np.random.default_rng(41)
+
+    def weighted(g):
+        return Graph(g.n, [(i, j, float(rng.uniform(0.5, 2.0)))
+                           for (i, j) in g.edges()])
+
+    two_triangles = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)]
+    return [
+        (Graph(4, [(0, 1), (1, 2), (2, 3)]), 1),
+        (Graph(3, [(0, 1), (1, 2), (0, 2)]), 1),
+        (Graph(5, []), 2),
+        (Graph(7, two_triangles), 2),
+        (Graph(8, [(0, c) for c in range(1, 8)]), 3),
+        (Graph(10, [(i, (i + 1) % 10) for i in range(10)]), 3),
+        (Graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]), 2),
+        (_random_graph(40, 50, rng), 4),
+        (weighted(_random_graph(40, 50, rng)), 4),
+        (_random_graph(60, 200, rng), 5),
+        (weighted(_random_graph(120, 400, rng)), 6),
+        (weighted(_planted(rng, 300, 4)), 8),
+        (_planted(np.random.default_rng(7), 2000, 10), 16),
+    ]
+
+
+def test_decompositions_match_tuple_reference():
+    """Index-array pieces deal the same edges as the tuple-based loops."""
+    cases = 0
+    for g, p in _reference_graphs():
+        partitions = {}
+        for k in (1, 3, 4):
+            for seed in (0, 7, 123):
+                d = random_decompose(g, k, seed)
+                assert tuple(map(d.triples, d.pieces)) == \
+                    random_decompose_reference(g, k, seed)
+                assert len(d.skeleton) == 0
+                cases += 1
+                for with_skeleton in (True, False):
+                    d = connectivity_aware_decompose(
+                        g, p, k, seed, with_skeleton=with_skeleton,
+                        partitions=partitions)
+                    pieces, skeleton = connectivity_aware_decompose_reference(
+                        g, p, k, seed, with_skeleton=with_skeleton,
+                        partitions=partitions)
+                    assert tuple(map(d.triples, d.pieces)) == pieces
+                    assert d.triples(d.skeleton) == skeleton
+                    cases += 1
+    assert cases == 351
+
+
+def test_decomposition_arrays_are_read_only():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    d = connectivity_aware_decompose(g, 2, 2, seed=0)
+    for a in (*d.edges, *d.pieces, d.skeleton):
+        with pytest.raises(ValueError):
+            a[:1] = 0
 
 
 def test_spectral_split_exact_identity():
@@ -289,9 +375,9 @@ def test_layer_decompositions_independent_per_layer():
     g = _random_graph(25, 60, rng)
     ds = layer_decompositions(g, [2, 2, 3], "random", p=1, seed=40)
     assert [d.k for d in ds] == [2, 2, 3]
-    assert ds[0].pieces != ds[1].pieces  # different layer seeds
+    assert not _same_pieces(ds[0], ds[1])  # different layer seeds
     again = layer_decompositions(g, [2, 2, 3], "random", p=1, seed=40)
-    assert all(a.pieces == b.pieces for a, b in zip(ds, again))
+    assert all(_same_pieces(a, b) for a, b in zip(ds, again))
     with pytest.raises(DomainError):
         layer_decompositions(g, [2], "magic", p=1, seed=0)
 
@@ -299,11 +385,31 @@ def test_layer_decompositions_independent_per_layer():
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(29)
     g = _random_graph(15, 30, rng)
-    d = connectivity_aware_decompose(g, 2, 3, seed=7)
+    for d in (random_decompose(g, 3, seed=7),
+              connectivity_aware_decompose(g, 2, 3, seed=7)):
+        out = tmp_path / d.source
+        save_decomposition(d, out)
+        assert (out / "meta.json").exists()
+        assert (out / "skeleton.txt").exists()
+        assert (out / "piece_2.txt").exists()
+        # weights print as Python floats: "1.0", not "np.float64(1.0)"
+        first = (out / "piece_0.txt").read_text().splitlines()[0]
+        assert first.endswith(" 1.0")
+        back = load_decomposition(out)
+        assert (back.n, back.k, back.source, back.p, back.seed) == (
+            d.n, d.k, d.source, d.p, d.seed)
+        # every edge lies in some piece, so the files' edges are the graph's
+        for got, want in zip(back.edges, d.edges):
+            assert np.array_equal(got, want)
+        assert _same_pieces(back, d)
+        assert np.array_equal(back.skeleton, d.skeleton)
+        assert back.triples(back.skeleton) == d.triples(d.skeleton)
+
+
+def test_load_rejects_an_edge_with_two_weights(tmp_path):
+    g = Graph(3, [(0, 1), (1, 2)])
     out = tmp_path / "dec"
-    save_decomposition(d, out)
-    assert (out / "meta.json").exists()
-    assert (out / "skeleton.txt").exists()
-    assert (out / "piece_2.txt").exists()
-    back = load_decomposition(out)
-    assert back == d
+    save_decomposition(random_decompose(g, 2, seed=0), out)
+    (out / "skeleton.txt").write_text("0 1 2.5\n")
+    with pytest.raises(ParseError, match="two weights"):
+        load_decomposition(out)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from degnn.decompose import spectral_split
+from degnn.decompose import random_decompose, spectral_split
 from degnn.errors import DomainError, ParseError
 from degnn.graphs import Graph, connected_components
 from degnn.partition import (
@@ -50,7 +50,9 @@ def test_partition_container():
     lambda: spectral_split(np.diag([3.0, 2.0, 1.0]), 2),
     lambda: gcn_stack(np.eye(2), [np.eye(2)]),
     lambda: generate_sbm(SBMSpec(n=12, b=2, p_in=0.8, p_out=0.1, d=2), 0),
-], ids=["Partition", "SVDResult", "SpectralSplit", "LayerStack", "NodeData"])
+    lambda: random_decompose(Graph(3, [(0, 1), (1, 2)]), 2, seed=0),
+], ids=["Partition", "SVDResult", "SpectralSplit", "LayerStack", "NodeData",
+        "Decomposition"])
 def test_array_holders_compare_and_hash_by_identity(make):
     # equal arrays in two instances must not make == ask an array for a bool
     a, b = make(), make()
@@ -157,6 +159,28 @@ def test_more_components_than_parts_packs_evenly():
     part = multilevel_partition(g, 2, seed=0, max_imbalance=1.3)
     assert cut_weight(g, part) == 0.0
     assert sorted(part.sizes().tolist()) == [6, 9]
+
+
+def test_partition_leaves_the_graph_adjacency_unchanged():
+    """The partitioner reads g's own neighbor dicts and writes none of them."""
+    rng = np.random.default_rng(12)
+    one = _random_graph(300, 900, rng)
+    weighted = Graph(300, [(i, j, float(rng.uniform(0.5, 2.0)))
+                           for (i, j) in one.edges()])
+    assert int(connected_components(one).max()) == 0
+    # big components are split in place, the small ones packed onto parts
+    blocks = [_random_graph(n, m, rng) for n, m in ((120, 360), (80, 240),
+                                                    (5, 6), (3, 2))]
+    edges, base = [], 0
+    for b in blocks:
+        edges += [(i + base, j + base) for (i, j) in b.edges()]
+        base += b.n
+    many = Graph(base + 2, edges)
+    assert int(connected_components(many).max()) + 1 >= 4
+    for g, p in ((one, 8), (weighted, 8), (many, 10), (many, 3)):
+        before = [list(g.neighbors(v).items()) for v in range(g.n)]
+        multilevel_partition(g, p, seed=5)
+        assert [list(g.neighbors(v).items()) for v in range(g.n)] == before
 
 
 def test_single_part_and_errors():

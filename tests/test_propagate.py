@@ -9,7 +9,6 @@ from degnn.linalg import kron, vec
 from degnn.propagate import (
     DECAY_COLUMNS,
     decay_curve,
-    endtoend_extremes,
     forward,
     gcn_stack,
     graphcnn_stack,
@@ -22,7 +21,11 @@ from degnn.propagate import (
 )
 from degnn.propagate import _batches
 from degnn.spectral import svd
-from oracles import decay_curve_per_depth, forward_reference
+from oracles import (
+    decay_curve_per_depth,
+    endtoend_extremes,
+    forward_reference,
+)
 
 
 def _random_gcn_stack(rng, n=None, d=None, depth=None, slope=0.2):

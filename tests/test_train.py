@@ -20,7 +20,6 @@ from degnn.train import (
     TrainResult,
     build_model,
     depth_sweep,
-    finite_diff_gradcheck,
     generate_sbm,
     k_sweep,
     load_model_config,
@@ -28,6 +27,7 @@ from degnn.train import (
     write_history_csv,
     write_rows_csv,
 )
+from oracles import finite_diff_gradcheck
 
 _MIXED_SPEC = SBMSpec(n=90, b=3, p_in=0.25, p_out=0.02, d=5, noise=0.2)
 _CLEAN_SPEC = SBMSpec(n=90, b=3, p_in=0.3, p_out=0.0, d=5, noise=0.0)
@@ -470,19 +470,20 @@ def test_operators_of_one_width_share_row_keys(monkeypatch, source):
 
 def test_piece_operator_rejects_row_keys_of_other_rows():
     """An operator whose edges are not the graph's refuses the shared keys."""
-    from degnn.train import _edge_arrays, _piece_operator
+    from degnn.train import _piece_operator
 
     g = _MIXED.graph
     ops, _ = build_model(_cfg(), _MIXED)
     row_keys, width = ops[-1].row_keys, ops[-1].buf.shape[1]
     buf = np.empty(len(row_keys))
-    i, j, w = g.edge_arrays()
-    none = _edge_arrays(())
+    every = np.arange(g.m)
+    none = every[:0]
     # the graph's own edges are accepted
-    _piece_operator(g, 1, none, [(i, j, w)], False, width, buf, row_keys)
-    moved = j.copy()
-    moved[0] = next(c for c in range(g.n) if c not in (i[0], j[0]))
-    for residual in ((i[1:], j[1:], w[1:]), (i, moved, w)):
+    _piece_operator(g, 1, none, [every], False, width, buf, row_keys)
+    # edge 0 taken twice and edge 1 left out: as many entries, other rows
+    twice = every.copy()
+    twice[1] = 0
+    for residual in (every[1:], twice):
         with pytest.raises(DomainError, match="row keys"):
             _piece_operator(g, 1, none, [residual], False, width, buf,
                             row_keys)
