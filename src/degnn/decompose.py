@@ -6,9 +6,10 @@ only the intra-partition edges, plants a random spanning forest of them into
 every piece, and deals the remaining edges round robin. A decomposition
 holds each piece as a sorted array of indices into the graph's sorted edge
 arrays (Graph.edge_arrays), so the trainer slices its pieces out of those
-arrays; (i, j, w) triples are formed only to write, draw or test one. A
-third, spectral, construction splits a dense matrix along its singular
-directions.
+arrays; (i, j, w) triples are formed only to write or test one. Spanning
+forests and piece component counts come from graphs.union_find on index
+arrays, without a Graph. A third, spectral, construction splits a dense
+matrix along its singular directions.
 """
 
 import json
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .graphs import Graph, connected_components, normalized_adjacency
+from .graphs import normalized_adjacency, union_find
 from .partition import multilevel_partition
 from .spectral import _svd_each
 
@@ -59,15 +60,6 @@ class Decomposition:
         return tuple(zip(i[index].tolist(), j[index].tolist(),
                          w[index].tolist()))
 
-    def piece_graph(self, idx):
-        """Piece idx as a Graph over the full node set."""
-        return Graph(self.n, self.triples(self.pieces[idx]))
-
-    def edge_union(self):
-        """Set of (i, j) pairs appearing in any piece."""
-        union = np.unique(np.concatenate(self.pieces))
-        return {(i, j) for (i, j, _) in self.triples(union)}
-
 
 def _no_edges():
     return np.empty(0, dtype=np.int64)
@@ -100,27 +92,14 @@ def random_spanning_forest(g, candidates, seed):
 
     candidates is a sorted array of indices into g.edge_arrays(). They are
     scanned in a shuffled order, and each edge that joins two different
-    trees is kept (union-find), so the forest has exactly n - #components
-    edges of the graph the candidates form and touches every component of
-    it. Returns the kept indices, sorted.
+    trees is kept (graphs.union_find), so the forest has exactly
+    n - #components edges of the graph the candidates form and touches every
+    component of it. Returns the kept indices, sorted.
     """
     lo, hi, _ = g.edge_arrays()
     scan = candidates[np.random.default_rng(seed).permutation(len(candidates))]
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for e, i, j in zip(scan.tolist(), lo[scan].tolist(), hi[scan].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append(e)
-    return np.sort(np.array(chosen, dtype=np.int64))
+    kept, _ = union_find(g.n, lo[scan], hi[scan])
+    return np.sort(scan[kept])
 
 
 def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
@@ -257,9 +236,10 @@ def decomposition_stats(g, d):
     if d.n != g.n:
         raise DomainError("decomposition is over a different node set")
     piece_edges = [len(piece) for piece in d.pieces]
-    piece_components = [
-        int(connected_components(d.piece_graph(i)).max()) + 1 for i in range(d.k)
-    ]
+    # a piece has n components less one per edge of its spanning forest
+    lo, hi, _ = d.edges
+    piece_components = [d.n - len(union_find(d.n, lo[piece], hi[piece])[0])
+                        for piece in d.pieces]
     total = sum(piece_edges)
     duplication = total / g.m if g.m else 1.0
     return {
@@ -358,8 +338,11 @@ def save_decomposition(d, dir_path):
 def load_decomposition(dir_path):
     """Inverse of save_decomposition.
 
-    The edges are the union of the files' edges, sorted; an edge that two
-    files give different weights raises ParseError.
+    The edges are the union of the files' edges, sorted. Raises ParseError,
+    with the file and line, on metadata without a positive integer n and k
+    or a string source, and on an edge line that is not "i j w" with integer
+    ids 0 <= i < j < n and a finite weight w > 0, or that gives an edge a
+    second weight.
     """
     meta_path = os.path.join(dir_path, "meta.json")
     try:
@@ -369,6 +352,14 @@ def load_decomposition(dir_path):
         raise ParseError(f"cannot read decomposition metadata: {exc}",
                          path=meta_path) from None
 
+    def field(key, kind=int, default=None, least=1):
+        value = meta.get(key, default) if isinstance(meta, dict) else None
+        if type(value) is not kind or kind is int and value < least:
+            raise ParseError(f"bad or missing {key!r} in decomposition "
+                             f"metadata: {value!r}", path=meta_path)
+        return value
+
+    n, k, source = field("n"), field("k"), field("source", str)
     weights = {}
 
     def slurp(path):
@@ -379,16 +370,23 @@ def load_decomposition(dir_path):
                 if not text:
                     continue
                 fields = text.split()
-                if len(fields) != 3:
-                    raise ParseError("expected 'i j w'", path=path, line=lineno)
-                pair, w = (int(fields[0]), int(fields[1])), float(fields[2])
-                if weights.setdefault(pair, w) != w:
-                    raise ParseError(f"edge {pair} has two weights", path=path,
-                                     line=lineno)
-                pairs.append(pair)
+                try:
+                    i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
+                    bad = len(fields) != 3 or not (0 <= i < j < n
+                                                   and 0.0 < w < np.inf)
+                except (ValueError, IndexError):
+                    bad = True
+                if bad:
+                    raise ParseError(
+                        f"expected 'i j w' with integer ids 0 <= i < j < {n} "
+                        f"and a finite weight w > 0, got {text!r}",
+                        path=path, line=lineno)
+                if weights.setdefault((i, j), w) != w:
+                    raise ParseError(f"edge {(i, j)} has two weights",
+                                     path=path, line=lineno)
+                pairs.append((i, j))
         return pairs
 
-    k = int(meta["k"])
     files = [slurp(os.path.join(dir_path, f"piece_{idx}.txt"))
              for idx in range(k)]
     skeleton = slurp(os.path.join(dir_path, "skeleton.txt"))
@@ -403,12 +401,12 @@ def load_decomposition(dir_path):
                                 dtype=np.int64))
 
     return Decomposition(
-        n=int(meta["n"]),
+        n=n,
         k=k,
         edges=edges,
         pieces=tuple(indices(pairs) for pairs in files),
         skeleton=indices(skeleton),
-        source=str(meta["source"]),
-        p=int(meta.get("p", 1)),
-        seed=int(meta.get("seed", 0)),
+        source=source,
+        p=field("p", default=1),
+        seed=field("seed", default=0, least=0),
     )

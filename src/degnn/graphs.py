@@ -1,11 +1,12 @@
 """Undirected weighted graphs: construction, file ingestion, normalization.
 
 The Graph type is the package currency for every structural operation. Edges
-are canonical (i, j) pairs with i < j and positive finite weights; both a
-sorted edge list and a per-node adjacency view are kept so dense-matrix code
-and the partition/decomposition passes can each use the natural
-representation. Edge arrays for vectorized code, such as the trainer's
-sparse propagation, are built on first use. Measured scale: one
+are canonical (i, j) pairs with i < j and positive finite weights. A Graph
+stores them once, as read-only (i, j, w) arrays sorted by (i, j), next to a
+per-node neighbor dict that the partitioner walks; edge lists and dense
+matrices are formed from the arrays on request. One union-find over edge
+index arrays gives connected components here, and spanning forests and
+piece component counts in degnn.decompose. Measured scale: one
 multilevel_partition of a 10-block planted graph with n=20,000 and m=88,000
 into p=16 parts takes 20-21 s of CPU and peaks at about 160 MB RSS, on
 one core of a shared 2-core Intel Xeon host.
@@ -30,18 +31,18 @@ class Graph:
         to 1.0 and must be finite and positive. Self-loops and duplicate
         pairs are rejected here; file loading deduplicates before calling.
 
-    Treat instances as frozen: after __init__ no method changes the graph;
-    edge_arrays only caches a view of it.
+    Treat instances as frozen: no method changes the graph, and its edge
+    arrays are read-only.
     """
 
-    __slots__ = ("n", "_edges", "_weights", "_adj", "_arrays")
+    __slots__ = ("n", "_adj", "_arrays")
 
     def __init__(self, n, edges=()):
         if not isinstance(n, (int, np.integer)) or n <= 0:
             raise DomainError(f"node count must be a positive int, got {n!r}")
         self.n = int(n)
         adj = [dict() for _ in range(self.n)]
-        canon = {}
+        lo, hi, wt = [], [], []
         for e in edges:
             if len(e) == 2:
                 i, j = e
@@ -60,54 +61,38 @@ class Graph:
             w = float(w)
             if not np.isfinite(w) or w <= 0.0:
                 raise DomainError(f"edge ({i}, {j}) has invalid weight {w!r}")
-            if (i, j) in canon:
+            if j in adj[i]:
                 raise DomainError(f"duplicate edge ({i}, {j})")
-            canon[(i, j)] = w
             adj[i][j] = w
             adj[j][i] = w
-        pairs = sorted(canon)
-        self._edges = tuple(pairs)
-        self._weights = tuple(canon[p] for p in pairs)
+            lo.append(i)
+            hi.append(j)
+            wt.append(w)
+        lo = np.array(lo, dtype=np.int64)
+        hi = np.array(hi, dtype=np.int64)
+        order = np.lexsort((hi, lo))
+        arrays = (lo[order], hi[order], np.array(wt, dtype=np.float64)[order])
+        for a in arrays:
+            a.flags.writeable = False
         self._adj = tuple(adj)
-        self._arrays = None
+        self._arrays = arrays
 
     @property
     def m(self):
         """Number of undirected edges."""
-        return len(self._edges)
-
-    def edges(self):
-        """Sorted tuple of canonical (i, j) pairs, i < j."""
-        return self._edges
+        return len(self._arrays[0])
 
     def edge_list(self):
         """Sorted list of (i, j, weight) triples."""
-        return [(i, j, w) for (i, j), w in zip(self._edges, self._weights)]
+        return list(zip(*(a.tolist() for a in self._arrays)))
 
     def edge_arrays(self):
-        """Read-only (i, j, w) arrays of the sorted edges, i < j.
-
-        Built on the first call and kept, so graphs that never need them,
-        such as the partitioner's coarse levels, pay nothing.
-        """
-        if self._arrays is None:
-            pairs = np.array(self._edges, dtype=np.int64).reshape(-1, 2)
-            arrays = (pairs[:, 0].copy(), pairs[:, 1].copy(),
-                      np.array(self._weights, dtype=np.float64))
-            for a in arrays:
-                a.flags.writeable = False
-            self._arrays = arrays
+        """Read-only (i, j, w) arrays of the edges, i < j, sorted by (i, j)."""
         return self._arrays
 
     def neighbors(self, i):
         """Mapping neighbor -> weight for node i. Do not mutate."""
         return self._adj[i]
-
-    def weight(self, i, j):
-        try:
-            return self._adj[i][j]
-        except KeyError:
-            raise DomainError(f"no edge ({i}, {j})") from None
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -173,15 +158,6 @@ def load_edge_list(path):
     return Graph(max_id + 1, [(i, j, w) for (i, j), w in raw.items()])
 
 
-def adjacency(g):
-    """Dense symmetric n x n adjacency matrix with edge weights."""
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for (i, j), w in zip(g.edges(), g._weights):
-        a[i, j] = w
-        a[j, i] = w
-    return a
-
-
 def self_looped_degrees(g):
     """Row sums of A + I: 1 plus each node's weighted degree, so at least 1."""
     i, j, w = g.edge_arrays()
@@ -192,8 +168,8 @@ def normalized_values(g, i, j, w):
     """Entries (i, j) of D^{-1/2} (A + I) D^{-1/2}, given those of A + I.
 
     w holds the matching entries of A + I: the edge weights, or 1 on the
-    diagonal. No n x n array is formed; each entry is computed as in
-    normalized_adjacency, (w * d_i^{-1/2}) * d_j^{-1/2}.
+    diagonal. No n x n array is formed; each entry is (w * d_i^{-1/2}) *
+    d_j^{-1/2}.
     """
     inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
     return w * inv_sqrt[i] * inv_sqrt[j]
@@ -203,11 +179,44 @@ def normalized_adjacency(g):
     """Symmetric degree-normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
     Degrees are row sums of the self-looped matrix, so every degree is at
-    least 1, isolated nodes included. The result has spectral norm 1.
+    least 1, isolated nodes included. The result has spectral norm 1. Entry
+    (i, j) is normalized_values at (i, j), row i's scale applied first.
     """
-    a = adjacency(g) + np.eye(g.n)
-    inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    i, j, w = g.edge_arrays()
+    diag = np.arange(g.n)
+    rows = np.concatenate((diag, i, j))
+    cols = np.concatenate((diag, j, i))
+    a = np.zeros((g.n, g.n))
+    a[rows, cols] = normalized_values(
+        g, rows, cols, np.concatenate((np.ones(g.n), w, w)))
+    return a
+
+
+def union_find(n, lo, hi):
+    """Join the trees of nodes 0..n-1 along edges (lo[e], hi[e]), in order.
+
+    Returns (kept, root). kept holds, ascending, the positions e whose edge
+    joined two different trees, so those edges form a spanning forest of
+    the scanned edges and n - len(kept) is their graph's component count.
+    root[v] is the root of node v's tree at the end: two nodes share a root
+    exactly when the edges connect them.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    kept = []
+    for e, (i, j) in enumerate(zip(lo.tolist(), hi.tolist())):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            kept.append(e)
+    root = [find(v) for v in range(n)]
+    return np.array(kept, dtype=np.int64), np.array(root, dtype=np.int64)
 
 
 def connected_components(g):
@@ -216,21 +225,10 @@ def connected_components(g):
     Component labels follow first-seen order scanning nodes by id, so the
     component containing node 0 is label 0.
     """
-    labels = np.full(g.n, -1, dtype=np.int64)
-    c = 0
-    for start in range(g.n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = c
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if labels[v] < 0:
-                    labels[v] = c
-                    stack.append(v)
-        c += 1
-    return labels
+    lo, hi, _ = g.edge_arrays()
+    _, root = union_find(g.n, lo, hi)
+    _, first, inverse = np.unique(root, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def induced_subgraph(g, nodes):

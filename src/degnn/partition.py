@@ -63,14 +63,16 @@ class Partition:
 
 
 def cut_edges(g, part):
-    """Edges of g whose endpoints land in different parts."""
-    labels = part.labels
-    return [(i, j) for (i, j) in g.edges() if labels[i] != labels[j]]
+    """Edges (i, j) of g whose endpoints land in different parts, sorted."""
+    lo, hi, _ = g.edge_arrays()
+    cut = part.labels[lo] != part.labels[hi]
+    return list(zip(lo[cut].tolist(), hi[cut].tolist()))
 
 
 def cut_weight(g, part):
-    labels = part.labels
-    return float(sum(w for (i, j, w) in g.edge_list() if labels[i] != labels[j]))
+    """Total weight of the cut edges, summed in sorted edge order."""
+    lo, hi, w = g.edge_arrays()
+    return float(sum(w[part.labels[lo] != part.labels[hi]].tolist()))
 
 
 def partition_stats(g, part):

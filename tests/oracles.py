@@ -12,7 +12,10 @@ batched suites in degnn.verify replaced; they call the library functions
 under test, one svd() per matrix. decay_curve_per_depth is
 degnn.propagate.decay_curve with one svd() per requested depth. The
 *_decompose_reference functions are the tuple-of-triples decompositions
-that degnn.decompose's index arrays replaced.
+that degnn.decompose's index arrays replaced. adjacency and
+connected_components_dfs are the dense adjacency and the depth-first
+search that degnn.graphs' edge arrays and union-find replaced; piece_graph
+and edge_union read a decomposition back as Graphs and pair sets.
 
 endtoend_extremes and finite_diff_gradcheck are test helpers built on the
 library, not oracles: no program code calls them, so they live here.
@@ -173,6 +176,52 @@ def gram_state_single(bt, shape_max):
         sub = gram[np.ix_(keep, keep)] / np.outer(d[keep], d[keep])
         rel = float(np.abs(sub).max())
     return off, rel, sig_cut
+
+
+def adjacency(g):
+    """Dense symmetric n x n adjacency matrix with edge weights."""
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for i, j, w in g.edge_list():
+        a[i, j] = w
+        a[j, i] = w
+    return a
+
+
+def connected_components_dfs(g):
+    """Component labels by depth-first search, first-seen order by node id."""
+    labels = np.full(g.n, -1, dtype=np.int64)
+    c = 0
+    for start in range(g.n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = c
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                if labels[v] < 0:
+                    labels[v] = c
+                    stack.append(v)
+        c += 1
+    return labels
+
+
+def component_count(g):
+    """Number of connected components of g, by depth-first search."""
+    return int(connected_components_dfs(g).max()) + 1
+
+
+def piece_graph(d, idx):
+    """Piece idx of decomposition d as a Graph over the full node set."""
+    from degnn.graphs import Graph
+
+    return Graph(d.n, d.triples(d.pieces[idx]))
+
+
+def edge_union(d):
+    """Set of (i, j) pairs appearing in any piece of decomposition d."""
+    union = np.unique(np.concatenate(d.pieces))
+    return {(i, j) for (i, j, _) in d.triples(union)}
 
 
 def brute_cut(edges, labels):
@@ -637,7 +686,7 @@ def connectivity_aware_decompose_reference(g, p, k, seed, with_skeleton=True,
         for j in sorted(g.neighbors(i)):
             if j <= i or (i, j) in in_skeleton:
                 continue
-            shares[counter].append((i, j, g.weight(i, j)))
+            shares[counter].append((i, j, g.neighbors(i)[j]))
             counter = (counter + 1) % k
     pieces = tuple(_sorted_triples(list(skeleton) + share) for share in shares)
     return pieces, skeleton

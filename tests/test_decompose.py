@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,14 @@ from degnn.decompose import (
     spectral_splits,
 )
 from degnn.errors import DomainError, ParseError
-from degnn.graphs import Graph, connected_components, normalized_adjacency
+from degnn.graphs import Graph, normalized_adjacency
 from degnn.partition import Partition, cut_edges, multilevel_partition
 from oracles import (
+    component_count,
     connectivity_aware_decompose_reference,
+    edge_union,
     merged_graph,
+    piece_graph,
     random_decompose_reference,
 )
 
@@ -89,7 +94,7 @@ def test_merged_graph_bridge_between_triangles():
     assert cut_edges(g, part) == [(2, 3)]
     gm = merged_graph(g, part)
     assert gm.m == 6
-    assert int(connected_components(gm).max()) + 1 == 2
+    assert component_count(gm) == 2
 
 
 def test_spanning_forest_of_tree_is_tree():
@@ -114,14 +119,14 @@ def test_spanning_forest_properties():
     rng = np.random.default_rng(7)
     for trial in range(15):
         g = _random_graph(40, 50, rng)
-        n_comp = int(connected_components(g).max()) + 1
+        n_comp = component_count(g)
         t = random_spanning_forest(g, np.arange(g.m), seed=trial)
         assert len(t) == g.n - n_comp
         assert np.all(np.diff(t) > 0)
         # forest edges form an acyclic subgraph spanning every component
         lo, hi, w = g.edge_arrays()
         forest = Graph(g.n, zip(lo[t].tolist(), hi[t].tolist(), w[t].tolist()))
-        assert int(connected_components(forest).max()) + 1 == n_comp
+        assert component_count(forest) == n_comp
         again = random_spanning_forest(g, np.arange(g.m), seed=trial)
         assert np.array_equal(again, t)
 
@@ -154,7 +159,7 @@ def test_connectivity_aware_invariants():
         k = int(rng.integers(1, 5))
         d = connectivity_aware_decompose(g, p, k, seed=trial)
         edge_pairs = {(i, j) for (i, j, _) in g.edge_list()}
-        assert d.edge_union() == edge_pairs
+        assert edge_union(d) == edge_pairs
         skel = set(_pairs(d, d.skeleton))
         residual_seen = []
         for piece in d.pieces:
@@ -164,13 +169,11 @@ def test_connectivity_aware_invariants():
         # non-skeleton edges are covered exactly once
         assert len(residual_seen) == len(set(residual_seen))
         assert set(residual_seen) == edge_pairs - skel
-        gm_comp = int(connected_components(
-            merged_graph(g, multilevel_partition(
-                g, p, seed=np.random.SeedSequence(trial).spawn(2)[0]))
-        ).max()) + 1
-        g_comp = int(connected_components(g).max()) + 1
+        gm_comp = component_count(merged_graph(g, multilevel_partition(
+            g, p, seed=np.random.SeedSequence(trial).spawn(2)[0])))
+        g_comp = component_count(g)
         for i in range(k):
-            pc = int(connected_components(d.piece_graph(i)).max()) + 1
+            pc = component_count(piece_graph(d, i))
             assert g_comp <= pc <= gm_comp
         again = connectivity_aware_decompose(g, p, k, seed=trial)
         assert _same_pieces(again, d)
@@ -210,7 +213,7 @@ def _reference_graphs():
 
     def weighted(g):
         return Graph(g.n, [(i, j, float(rng.uniform(0.5, 2.0)))
-                           for (i, j) in g.edges()])
+                           for (i, j, _) in g.edge_list()])
 
     two_triangles = [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)]
     return [
@@ -413,3 +416,98 @@ def test_load_rejects_an_edge_with_two_weights(tmp_path):
     (out / "skeleton.txt").write_text("0 1 2.5\n")
     with pytest.raises(ParseError, match="two weights"):
         load_decomposition(out)
+
+
+def _stats_oracle(d):
+    return [component_count(piece_graph(d, i)) for i in range(d.k)]
+
+
+def test_stats_piece_components_match_dfs_oracle(tmp_path):
+    """Union-find counts equal depth-first counts on every kind of piece."""
+    rng = np.random.default_rng(43)
+    cases = [(g, p) for g, p in _reference_graphs() if g.n < 1000]
+    cases += [(_random_graph(n, m, rng), 3)
+              for n, m in ((12, 4), (30, 20), (50, 45), (80, 300))]
+    checked = 0
+    for g, p in cases:
+        partitions = {}
+        for k in (1, 3, 4):
+            decs = [random_decompose(g, k, seed=k)] + [
+                connectivity_aware_decompose(
+                    g, p, k, seed=k, with_skeleton=with_skeleton,
+                    partitions=partitions)
+                for with_skeleton in (True, False)]
+            for d in decs:
+                stats = decomposition_stats(g, d)
+                assert stats["piece_components"] == _stats_oracle(d)
+                checked += 1
+                if k != 3:
+                    continue
+                out = tmp_path / str(checked)
+                save_decomposition(d, out)
+                back = load_decomposition(out)
+                assert decomposition_stats(g, back) == stats
+                assert _stats_oracle(back) == _stats_oracle(d)
+    assert checked == 9 * len(cases)
+
+
+_GOOD_LINE = "0 1 1.0\n"
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("piece_0.txt", "1 5 1.0", 2),
+    ("piece_0.txt", "-1 1 1.0", 2),
+    ("piece_1.txt", "2 1 1.0", 2),
+    ("skeleton.txt", "1 1 1.0", 1),
+    ("piece_0.txt", "0 x 1.0", 2),
+    ("piece_0.txt", "0.5 1 1.0", 2),
+    ("piece_0.txt", "0 2 heavy", 2),
+    ("piece_1.txt", "0 2 inf", 2),
+    ("piece_1.txt", "0 2 nan", 2),
+    ("piece_0.txt", "0 2 0.0", 2),
+    ("piece_0.txt", "0 2 -2.0", 2),
+    ("piece_1.txt", "0 2", 2),
+    ("skeleton.txt", "0 2 1.0 1.0", 1),
+], ids=["id-past-n", "negative-id", "i-above-j", "self-loop",
+        "non-integer-id", "float-id", "non-number-weight", "infinite-weight",
+        "nan-weight", "zero-weight", "negative-weight", "two-fields",
+        "four-fields"])
+def test_load_rejects_bad_edge_lines(tmp_path, name, text, line):
+    g = Graph(3, [(0, 1), (1, 2)])
+    out = tmp_path / "dec"
+    save_decomposition(random_decompose(g, 2, seed=0), out)
+    prefix = "" if line == 1 else _GOOD_LINE
+    (out / name).write_text(prefix + text + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_decomposition(out)
+    assert exc.value.path == str(out / name)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: {},
+    lambda meta: {**meta, "n": None},
+    lambda meta: {key: v for key, v in meta.items() if key != "n"},
+    lambda meta: {**meta, "n": "3"},
+    lambda meta: {**meta, "n": 2.5},
+    lambda meta: {**meta, "n": 0},
+    lambda meta: {key: v for key, v in meta.items() if key != "k"},
+    lambda meta: {**meta, "k": "two"},
+    lambda meta: {**meta, "k": True},
+    lambda meta: {key: v for key, v in meta.items() if key != "source"},
+    lambda meta: {**meta, "source": 3},
+    lambda meta: {**meta, "p": "four"},
+    lambda meta: {**meta, "seed": -1},
+    lambda meta: [meta],
+], ids=["empty", "null-n", "missing-n", "string-n", "float-n", "zero-n",
+        "missing-k", "string-k", "bool-k", "missing-source", "int-source",
+        "string-p", "negative-seed", "not-an-object"])
+def test_load_rejects_bad_metadata(tmp_path, edit):
+    g = Graph(3, [(0, 1), (1, 2)])
+    out = tmp_path / "dec"
+    save_decomposition(random_decompose(g, 2, seed=0), out)
+    meta = json.loads((out / "meta.json").read_text())
+    (out / "meta.json").write_text(json.dumps(edit(meta)))
+    with pytest.raises(ParseError) as exc:
+        load_decomposition(out)
+    assert exc.value.path == str(out / "meta.json")

@@ -4,7 +4,6 @@ import pytest
 from degnn.errors import DomainError, ParseError
 from degnn.graphs import (
     Graph,
-    adjacency,
     connected_components,
     induced_subgraph,
     load_edge_list,
@@ -13,17 +12,35 @@ from degnn.graphs import (
     self_looped_degrees,
 )
 from degnn.linalg import kron, vec
+from oracles import adjacency, connected_components_dfs
 
 
 def test_graph_basic():
     g = Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
     assert g.n == 4
     assert g.m == 3
-    assert g.weight(2, 1) == 2.0
+    assert g.neighbors(2)[1] == 2.0
     assert g.neighbors(1) == {0: 1.0, 2: 2.0}
-    with pytest.raises(DomainError):
-        g.weight(0, 2)
+    assert 2 not in g.neighbors(0) and 0 not in g.neighbors(2)
     assert g.edge_list() == [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]
+
+
+def test_graph_sorts_its_edge_arrays():
+    """Edges given in any order and orientation are stored sorted, i < j."""
+    g = Graph(5, [(3, 1, 0.5), (4, 0), (0, 2, 2.5), (1, 0, 3.0), (2, 1)])
+    i, j, w = g.edge_arrays()
+    assert i.tolist() == [0, 0, 0, 1, 1] and j.tolist() == [1, 2, 4, 2, 3]
+    assert w.tolist() == [3.0, 2.5, 1.0, 1.0, 0.5]
+    assert g.edge_list() == list(zip(i.tolist(), j.tolist(), w.tolist()))
+    assert g.m == 5
+    for a in g.edge_arrays():
+        assert a.dtype in (np.int64, np.float64)
+        with pytest.raises(ValueError):
+            a[0] = 1
+    empty = Graph(3)
+    assert empty.m == 0 and empty.edge_list() == []
+    assert [a.dtype for a in empty.edge_arrays()] == [np.int64, np.int64,
+                                                       np.float64]
 
 
 def test_graph_rejects_bad_edges():
@@ -51,7 +68,7 @@ def test_edge_list_duplicate_last_wins(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1 1.0\n1 0 4.0\n")
     g = load_edge_list(path)
-    assert g.weight(0, 1) == 4.0
+    assert g.neighbors(0)[1] == 4.0 and g.edge_list() == [(0, 1, 4.0)]
 
 
 def test_edge_list_skips_self_loops_with_warning(tmp_path):
@@ -129,6 +146,42 @@ def test_connected_components_labels_first_seen():
     g = Graph(6, [(0, 2), (1, 3), (4, 5)])
     comp = connected_components(g)
     assert comp.tolist() == [0, 1, 0, 1, 2, 2]
+
+
+def _random_graphs(rng, count, weighted=False):
+    """Random graphs of 1 to 40 nodes, sparse to dense, isolated nodes too."""
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = int(rng.integers(0, len(pairs) + 1)) if rng.random() < 0.3 \
+            else int(rng.integers(0, n + 1))
+        chosen = rng.permutation(len(pairs))[:m]
+        edges = [pairs[e] + ((float(rng.uniform(0.1, 3.0)),) if weighted
+                             else ()) for e in chosen]
+        yield Graph(n, edges)
+
+
+def test_connected_components_match_dfs_oracle():
+    """The union-find labels equal the depth-first search's on 400 graphs."""
+    rng = np.random.default_rng(17)
+    graphs = list(_random_graphs(rng, 400)) + [Graph(1), Graph(7)]
+    counts = set()
+    for g in graphs:
+        got = connected_components(g)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, connected_components_dfs(g))
+        counts.add(int(got.max()) + 1)
+    assert 1 in counts and max(counts) >= 20  # one and many components
+
+
+def test_normalized_adjacency_matches_dense_formula():
+    """Bits equal (A + I) * d^-1/2 (rows) * d^-1/2 (columns), as before."""
+    rng = np.random.default_rng(19)
+    for g in _random_graphs(rng, 150, weighted=True):
+        inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
+        want = ((adjacency(g) + np.eye(g.n)) * inv_sqrt[:, None]
+                * inv_sqrt[None, :])
+        assert np.array_equal(normalized_adjacency(g), want)
 
 
 def test_induced_subgraph_keeps_weights():

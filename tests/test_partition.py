@@ -166,14 +166,14 @@ def test_partition_leaves_the_graph_adjacency_unchanged():
     rng = np.random.default_rng(12)
     one = _random_graph(300, 900, rng)
     weighted = Graph(300, [(i, j, float(rng.uniform(0.5, 2.0)))
-                           for (i, j) in one.edges()])
+                           for (i, j, _) in one.edge_list()])
     assert int(connected_components(one).max()) == 0
     # big components are split in place, the small ones packed onto parts
     blocks = [_random_graph(n, m, rng) for n, m in ((120, 360), (80, 240),
                                                     (5, 6), (3, 2))]
     edges, base = [], 0
     for b in blocks:
-        edges += [(i + base, j + base) for (i, j) in b.edges()]
+        edges += [(i + base, j + base) for (i, j, _) in b.edge_list()]
         base += b.n
     many = Graph(base + 2, edges)
     assert int(connected_components(many).max()) + 1 >= 4
@@ -249,7 +249,8 @@ def _weighted_cases():
     rng = np.random.default_rng(61)
     g = _random_graph(300, 900, rng)
     weights = rng.uniform(0.5, 2.0, size=g.m)
-    g = Graph(g.n, [(i, j, float(w)) for (i, j), w in zip(g.edges(), weights)])
+    g = Graph(g.n, [(i, j, float(w))
+                   for (i, j, _), w in zip(g.edge_list(), weights)])
     for p in (2, 5, 8):
         yield f"weighted300_p{p}", g, p, 11
 

@@ -17,7 +17,11 @@ RSS (ru_maxrss) at its end. The second, with tracemalloc on, gives the
 memory traced at each stage's end and the traced peak during it, and the
 distinct arrays the model's PieceOperators hold, by attribute (an array
 shared by several operators, or viewed by several attributes, counts
-once). Only numpy and the standard library are used. BLAS threads are
+once). The graph is drawn at a fixed seed, so both runs build the same
+graph, and the second run reuses the first run's partitions: with
+--source connectivity_aware its build_model does not partition every layer
+again under tracemalloc, and its traced figures leave the partitioner out.
+Only numpy and the standard library are used. BLAS threads are
 whatever the environment sets; OPENBLAS_NUM_THREADS=1 makes runs
 comparable.
 """
@@ -81,12 +85,13 @@ def main(argv=None):
                          k_schedule=(k,) * args.depth)
     spec = tr.SBMSpec(n=args.n, b=3, p_in=12 / args.n, p_out=0.75 / args.n,
                       d=16)
-    # the first run's model is dropped before the second starts
-    seconds = _run(tr, cfg, spec, args.source)[0]
+    # the first run's model is dropped before the second starts; only its
+    # partitions are kept
+    seconds, _, _, parts = _run(tr, cfg, spec, args.source, {})
     maxrss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
     try:
-        _, traced, (data, ops) = _run(tr, cfg, spec, args.source)
+        _, traced, (data, ops), _ = _run(tr, cfg, spec, args.source, parts)
     finally:
         tracemalloc.stop()
 
@@ -108,10 +113,12 @@ def main(argv=None):
     print(f"ru_maxrss_mib {maxrss_kib / 1024:.1f}")
 
 
-def _run(tr, cfg, spec, source):
-    """([(stage, seconds)], [(traced, traced peak)], (data, operators)).
+def _run(tr, cfg, spec, source, parts):
+    """([(stage, seconds)], [(traced, traced peak)], (data, operators), parts).
 
-    The traced figures are zero while tracemalloc is off.
+    parts maps (p, layer seed) to a partition of the graph, as drawn by an
+    earlier run; the returned parts add this run's own. The traced figures
+    are zero while tracemalloc is off.
     """
     seconds, traced = [], []
     start = time.perf_counter()
@@ -125,7 +132,9 @@ def _run(tr, cfg, spec, source):
 
     data = tr.generate_sbm(spec, seed=7)
     stage("generate_sbm")
-    ops, weights = tr.build_model(cfg, data, source=source, seed=7)
+    partitions = {(data.graph, *key): part for key, part in parts.items()}
+    ops, weights = tr.build_model(cfg, data, source=source, seed=7,
+                                  partitions=partitions)
     stage("build_model")
     for epoch in range(1, EPOCHS + 1):
         _, prob, ys, zs, ins = tr._forward_loss(cfg, ops, weights, data)
@@ -135,7 +144,8 @@ def _run(tr, cfg, spec, source):
                 w -= cfg.lr * gw
         del prob, ys, zs, ins, grads
         stage(f"epoch {epoch}")
-    return seconds, traced, (data, ops)
+    parts = {key[1:]: part for key, part in partitions.items()}
+    return seconds, traced, (data, ops), parts
 
 
 if __name__ == "__main__":
