@@ -57,13 +57,19 @@ def jacobi_sweep(bt, vt, delta):
     of its rows unchanged.
     """
     rotations = np.zeros(bt.shape[0], dtype=np.int64)
-    with_v = vt.shape[-1] > 0
+    # every round pairs n // 2 disjoint rows; a stack's paired rows and
+    # their sign-weighted swap go to two buffers allocated once per sweep
+    half = bt.shape[1] // 2
+    rows, swapped = _round_buffers(bt, half)
+    targets = [(bt, rows, swapped)]
+    if vt.shape[-1] > 0:
+        targets.append((vt, *_round_buffers(vt, half)))
     # zeta is inf or nan where gamma == 0; the mask discards it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for pairs in _schedule(bt.shape[1]):
             # (count, pairs, 2, m): rows i and j of every pair, and their
             # 2 x 2 Gram blocks
-            rows = bt[:, pairs]
+            _gather(bt, pairs, rows)
             gram = rows @ rows.swapaxes(-1, -2)
             alpha = gram[..., 0, 0]
             beta = gram[..., 1, 1]
@@ -82,13 +88,28 @@ def jacobi_sweep(bt, vt, delta):
                 s = np.where(rotate, s, 0.0)
             c = c[..., None, None]
             s = (s[..., None] * _SIGNS)[..., None]
-            targets = [(bt, rows)]
-            if with_v:
-                targets.append((vt, vt[:, pairs]))
-            for x, xr in targets:
-                swapped = s * xr[:, :, ::-1]
+            for x, xr, xs in targets:
+                if x is not bt:
+                    _gather(x, pairs, xr)
+                np.multiply(s, xr[:, :, ::-1], out=xs)
                 xr *= c
-                xr += swapped
+                xr += xs
                 x[:, pairs] = xr
             rotations += rotate.sum(axis=1)
     return rotations
+
+
+def _round_buffers(x, half):
+    """Two empty (count, half, 2, width) arrays for one stack's paired rows."""
+    shape = (x.shape[0], half, 2, x.shape[2])
+    return np.empty(shape, dtype=x.dtype), np.empty(shape, dtype=x.dtype)
+
+
+def _gather(x, pairs, out):
+    """out[:, p, k] = x[:, pairs[p, k]], without a temporary.
+
+    np.take's default mode="raise" gathers into a temporary and copies it
+    to out; every index here is in range, so "clip" gives the same values
+    written straight into out.
+    """
+    np.take(x, pairs, axis=1, out=out, mode="clip")

@@ -7,6 +7,15 @@ then walk the levels back up refining with Fiduccia-Mattheyses passes
 best balanced prefix). All tie-breaks go to the smallest node id, so a seed
 fully determines the output.
 
+The finest level's per-node dicts are built from the graph's sorted edge
+arrays, each node's neighbors in ascending id order, so the labels do not
+depend on the order in which the graph's edges were listed. Only the level
+being contracted or refined is held as dicts. A level that waits for
+uncoarsening is packed into arrays (per-node lengths, then neighbors and
+weights in dict order) and is unpacked when uncoarsening reaches it; the
+coarser level's dicts are dropped first, so each level is freed as the
+walk up leaves it, and no dict outlives the call.
+
 Disconnected graphs are handled outside the pipeline: each component is
 partitioned independently with part counts allocated proportionally to
 component size (every component at least one part when p allows), or whole
@@ -21,6 +30,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -124,9 +134,66 @@ def import_partition(path, n):
 
 
 def _adjacency_lists(g):
-    # g's own neighbor dicts, not copies: nothing here writes to the finest
-    # level's adjacency, and every coarser level is built afresh
-    return [g.neighbors(v) for v in range(g.n)]
+    """g's edges as one dict neighbor -> weight per node, neighbors ascending.
+
+    The finest level of a partition. It is built from g's sorted edge
+    arrays, so it does not depend on the order in which g's edges were
+    listed, and only the partition holds it.
+    """
+    lo, hi, w = g.edge_arrays()
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    order = np.lexsort((dst, src))
+    return _unpack(np.bincount(src, minlength=g.n), dst[order],
+                   np.concatenate((w, w))[order])
+
+
+def _weights(adj):
+    """A level's directed edge weights, in dict order, as a float array."""
+    return np.fromiter(chain.from_iterable(map(dict.values, adj)),
+                       dtype=np.float64)
+
+
+def _pack(adj):
+    """A level's dicts as (lengths, neighbors, weights) arrays in dict order."""
+    lengths = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+    return lengths, np.fromiter(chain.from_iterable(adj), dtype=np.int64,
+                                count=int(lengths.sum())), _weights(adj)
+
+
+def _unpack(lengths, nbrs, wts):
+    """The dicts of a packed level, each with its items in packed order.
+
+    Every key is the level's one int object for that node id, and equal
+    weights share one float object.
+    """
+    ids = list(range(len(lengths)))
+    values, which = np.unique(wts, return_inverse=True)
+    items = zip(map(ids.__getitem__, nbrs.tolist()),
+                map(values.tolist().__getitem__, which.tolist()))
+    return [dict(islice(items, k)) for k in lengths.tolist()]
+
+
+def _unpack_level(level):
+    """(dicts, node weights, coarse map, integral) of a packed level."""
+    (lengths, nbrs, wts), node_w, cmap = level
+    return (_unpack(lengths, nbrs, wts), node_w.tolist(), cmap.tolist(),
+            _integral(wts))
+
+
+def _integral(wts):
+    """Whether FM may follow a move by -w/+w on a level with these weights.
+
+    Positive integer weights whose total stays below 2**53 add exactly in
+    any order, so a neighbor-part table updated by -w/+w still equals a
+    recount. For such weights a sum in any order is below 2**53 exactly
+    when the true total is, so summing the array answers as summing in
+    dict order does; a total past the float range is inf, without a
+    warning, as Python's sum gives it.
+    """
+    with np.errstate(over="ignore"):
+        total = wts.sum()
+    return bool(total < 2.0 ** 53 and (wts == np.floor(wts)).all())
 
 
 def _contract(adj, node_w, rng):
@@ -218,7 +285,7 @@ def _cut_of(adj, labels):
     return total
 
 
-def _fm_refine(adj, node_w, labels, p, cap):
+def _fm_refine(adj, node_w, labels, p, cap, integral=None):
     """Fiduccia-Mattheyses passes until no improving balanced prefix exists.
 
     Each pass tentatively moves every node at most once, always taking the
@@ -234,6 +301,9 @@ def _fm_refine(adj, node_w, labels, p, cap):
     the queue holds the same entries as one refilled with every move of
     every unlocked neighbor, so the moves are those of that simpler loop
     (tests/oracles.py keeps it as fm_refine_reference).
+
+    integral is _integral of the level's weights; _partition_region takes
+    it once per level, and it is computed from adj when not given.
     """
     n = len(adj)
     if p == 1 or n == 0:
@@ -243,13 +313,11 @@ def _fm_refine(adj, node_w, labels, p, cap):
     part_w = [0.0] * p
     for u in range(n):
         part_w[labels[u]] += node_w[u]
-    # Positive integer weights whose total stays below 2**53 add exactly in
-    # any order, so a table can follow a move by -w/+w and still equal a
-    # recount. Other weights re-sum the two changed parts in adjacency order,
-    # the order in which neighbor_parts adds them.
-    weights = [w for nbrs in adj for w in nbrs.values()]
-    integral = (sum(weights) < 2.0 ** 53
-                and all(float(w).is_integer() for w in weights))
+    # Integral tables follow a move by -w/+w. Other weights re-sum the two
+    # changed parts in adjacency order, the order in which neighbor_parts
+    # adds them.
+    if integral is None:
+        integral = _integral(_weights(adj))
 
     def neighbor_parts(u):
         d = {}
@@ -400,38 +468,49 @@ def _fm_refine(adj, node_w, labels, p, cap):
     return labels
 
 
-def _partition_region(adj, node_w, p, cap, rng):
-    """Multilevel pipeline on one connected region given as adjacency lists."""
-    n = len(adj)
+def _partition_region(g, p, cap, rng):
+    """Multilevel pipeline on a connected graph; returns its labels as a list.
+
+    Only the level being contracted or refined is held as dicts. Each finer
+    level waits in `levels` packed (_pack), with its node weights and its
+    map to the next coarser level, and uncoarsening pops, unpacks and
+    refines one level at a time, dropping the coarser level's dicts first.
+    Packing keeps every dict's insertion order, so FM's float sums run in
+    the same order as on dicts that were never packed.
+    """
     if p == 1:
-        return [0] * n
+        return [0] * g.n
     target = max(COARSE_STOP_FLOOR, COARSE_STOP_FACTOR * p)
+    adj, node_w = _adjacency_lists(g), [1.0] * g.n
     levels = []
-    cur_adj, cur_w = adj, node_w
-    while len(cur_adj) > target:
-        cadj, cw, cmap, c = _contract(cur_adj, cur_w, rng)
-        if c >= 0.95 * len(cur_adj):
+    while len(adj) > target:
+        cadj, cw, cmap, c = _contract(adj, node_w, rng)
+        if c >= 0.95 * len(adj):
             break
-        levels.append((cur_adj, cur_w, cmap))
-        cur_adj, cur_w = cadj, cw
-    if p > len(cur_adj):
-        # matching can overshoot below p on tiny regions; back off one level
-        while levels and p > len(cur_adj):
-            cur_adj, cur_w, _ = levels.pop()
+        levels.append((_pack(adj), np.array(node_w), np.array(cmap)))
+        adj, node_w = cadj, cw
+    # a last contraction that was not used is dropped
+    cadj = cw = cmap = None
+    # matching can overshoot below p on tiny regions; back off one level
+    while levels and p > len(adj):
+        adj, node_w, _, _ = _unpack_level(levels.pop())
+    integral = _integral(_weights(adj))
     labels = None
     best_key = None
     for _ in range(INITIAL_TRIES):
-        cand = _grow_initial(cur_adj, cur_w, p, rng)
-        cand = _fm_refine(cur_adj, cur_w, cand, p, cap)
+        cand = _grow_initial(adj, node_w, p, rng)
+        cand = _fm_refine(adj, node_w, cand, p, cap, integral)
         part_w = [0.0] * p
         for u, lab in enumerate(cand):
-            part_w[lab] += cur_w[u]
-        key = (max(part_w) > cap, _cut_of(cur_adj, cand))
+            part_w[lab] += node_w[u]
+        key = (max(part_w) > cap, _cut_of(adj, cand))
         if best_key is None or key < best_key:
             labels, best_key = cand, key
-    for fine_adj, fine_w, cmap in reversed(levels):
-        labels = [labels[cmap[u]] for u in range(len(fine_adj))]
-        labels = _fm_refine(fine_adj, fine_w, labels, p, cap)
+    while levels:
+        del adj
+        adj, node_w, cmap, integral = _unpack_level(levels.pop())
+        labels = _fm_refine(adj, node_w, [labels[c] for c in cmap], p, cap,
+                            integral)
     return labels
 
 
@@ -493,8 +572,7 @@ def multilevel_partition(g, p, seed, max_imbalance=1.3):
     cap_global = max(max_imbalance * g.n / p, math.ceil(g.n / p))
 
     if n_comp == 1:
-        adj = _adjacency_lists(g)
-        region = _partition_region(adj, [1.0] * g.n, p, cap_global, rng)
+        region = _partition_region(g, p, cap_global, rng)
         return Partition(labels=np.asarray(region, dtype=np.int64), p=p)
 
     comp_nodes = [np.flatnonzero(comp == c) for c in range(n_comp)]
@@ -514,8 +592,7 @@ def multilevel_partition(g, p, seed, max_imbalance=1.3):
         else:
             sub, mapping = induced_subgraph(g, comp_nodes[c])
             cap_c = max(cap_global, math.ceil(sizes[c] / p_c))
-            sub_adj = _adjacency_lists(sub)
-            region = _partition_region(sub_adj, [1.0] * sub.n, p_c, cap_c, rng)
+            region = _partition_region(sub, p_c, cap_c, rng)
             for local, orig in enumerate(mapping):
                 labels[orig] = next_part + region[local]
             for lab in region:

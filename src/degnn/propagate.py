@@ -305,11 +305,12 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     singular values only); a depth whose products alone pass it is taken
     alone. Each matrix keeps its own stopping rule, so row values are the
     bits of one svd() per depth. Peak memory is about five times the
-    batch: the held products, the kernel's working copy of them, and each
-    round of a sweep rotates a gathered copy of the rows it pairs up
-    (tracemalloc peak: 31 stacks for depths 1..6 of 16 products of
-    80 x 80 or of 200 x 200, the latter a batch of 29.3 MiB peaking at
-    4.7 times DECAY_BATCH_BYTES; 5.5 stacks for depth 6 alone at 80 x 80).
+    batch: the held products, the kernel's working copy of them, and the
+    kernel's two round buffers, allocated once per sweep, which hold the
+    rows a round pairs up and their rotated swap (tracemalloc peak: 31
+    stacks for depths 1..6 of 16 products of 80 x 80 or of 200 x 200, the
+    latter a batch of 29.3 MiB peaking at 4.7 times DECAY_BATCH_BYTES;
+    5.4 stacks, 4.40 MB, for depth 1 or depth 6 alone at 80 x 80).
     So it stays within about five times DECAY_BATCH_BYTES, or five and a
     half times one depth's products when they alone pass it; that last
     case was measured on small products only.

@@ -14,8 +14,11 @@ degnn.propagate.decay_curve with one svd() per requested depth. The
 *_decompose_reference functions are the tuple-of-triples decompositions
 that degnn.decompose's index arrays replaced. adjacency and
 connected_components_dfs are the dense adjacency and the depth-first
-search that degnn.graphs' edge arrays and union-find replaced; piece_graph
-and edge_union read a decomposition back as Graphs and pair sets.
+search that degnn.graphs' edge arrays and union-find replaced, and
+induced_subgraph_reference the neighbor-dict walk that its array selection
+replaced; neighbor_dicts rebuilds the per-node dicts that Graph dropped,
+for both. piece_graph and edge_union read a decomposition back as Graphs
+and pair sets.
 
 endtoend_extremes and finite_diff_gradcheck are test helpers built on the
 library, not oracles: no program code calls them, so they live here.
@@ -187,8 +190,37 @@ def adjacency(g):
     return a
 
 
+def neighbor_dicts(g):
+    """One dict neighbor -> weight per node, filled in sorted edge order.
+
+    These are the dicts a Graph kept beside its edge arrays, for graphs
+    whose edges were listed sorted: each node's neighbors ascend by id.
+    """
+    adj = [dict() for _ in range(g.n)]
+    for i, j, w in g.edge_list():
+        adj[i][j] = w
+        adj[j][i] = w
+    return adj
+
+
+def induced_subgraph_reference(g, nodes):
+    """degnn.graphs.induced_subgraph as the walk over neighbor dicts."""
+    from degnn.graphs import Graph
+
+    nodes = sorted(set(int(v) for v in nodes))
+    adj = neighbor_dicts(g)
+    index = {v: k for k, v in enumerate(nodes)}
+    edges = []
+    for v in nodes:
+        for u, w in adj[v].items():
+            if u > v and u in index:
+                edges.append((index[v], index[u], w))
+    return Graph(len(nodes), edges), nodes
+
+
 def connected_components_dfs(g):
     """Component labels by depth-first search, first-seen order by node id."""
+    adj = neighbor_dicts(g)
     labels = np.full(g.n, -1, dtype=np.int64)
     c = 0
     for start in range(g.n):
@@ -198,7 +230,7 @@ def connected_components_dfs(g):
         labels[start] = c
         while stack:
             u = stack.pop()
-            for v in g.neighbors(u):
+            for v in adj[u]:
                 if labels[v] < 0:
                     labels[v] = c
                     stack.append(v)
@@ -682,11 +714,12 @@ def connectivity_aware_decompose_reference(g, p, k, seed, with_skeleton=True,
     in_skeleton = {(i, j) for (i, j, _) in skeleton}
     shares = [[] for _ in range(k)]
     counter = 0
+    adj = neighbor_dicts(g)
     for i in range(g.n):
-        for j in sorted(g.neighbors(i)):
+        for j in sorted(adj[i]):
             if j <= i or (i, j) in in_skeleton:
                 continue
-            shares[counter].append((i, j, g.neighbors(i)[j]))
+            shares[counter].append((i, j, adj[i][j]))
             counter = (counter + 1) % k
     pieces = tuple(_sorted_triples(list(skeleton) + share) for share in shares)
     return pieces, skeleton

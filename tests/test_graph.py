@@ -12,17 +12,27 @@ from degnn.graphs import (
     self_looped_degrees,
 )
 from degnn.linalg import kron, vec
-from oracles import adjacency, connected_components_dfs
+from oracles import (
+    adjacency,
+    connected_components_dfs,
+    induced_subgraph_reference,
+)
 
 
 def test_graph_basic():
     g = Graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
     assert g.n == 4
     assert g.m == 3
-    assert g.neighbors(2)[1] == 2.0
-    assert g.neighbors(1) == {0: 1.0, 2: 2.0}
-    assert 2 not in g.neighbors(0) and 0 not in g.neighbors(2)
     assert g.edge_list() == [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]
+    # each undirected edge is stored once, as i < j; (0, 2) is not an edge
+    i, j, w = g.edge_arrays()
+    assert (i < j).all()
+    assert not ((i == 0) & (j == 2)).any()
+    # a node's neighbors and weights are read from both columns
+    touches = (i == 1) | (j == 1)
+    other = np.where(i == 1, j, i)
+    assert sorted(zip(other[touches].tolist(),
+                      w[touches].tolist())) == [(0, 1.0), (2, 2.0)]
 
 
 def test_graph_sorts_its_edge_arrays():
@@ -40,6 +50,19 @@ def test_graph_sorts_its_edge_arrays():
     assert empty.m == 0 and empty.edge_list() == []
     assert [a.dtype for a in empty.edge_arrays()] == [np.int64, np.int64,
                                                        np.float64]
+
+
+@pytest.mark.parametrize("edges, pair", [
+    ([(0, 1), (1, 0)], (0, 1)),
+    ([(0, 1), (0, 1)], (0, 1)),
+    ([(2, 1, 0.5), (3, 0), (1, 2, 4.0)], (1, 2)),
+    ([(3, 2), (0, 1), (1, 3), (0, 2), (1, 0, 2.0)], (0, 1)),
+])
+def test_graph_rejects_duplicate_edges(edges, pair):
+    """(i, j) then (j, i), or (i, j) twice, anywhere in the list."""
+    with pytest.raises(DomainError, match=rf"^duplicate edge \({pair[0]}, "
+                                          rf"{pair[1]}\)$"):
+        Graph(4, edges)
 
 
 def test_graph_rejects_bad_edges():
@@ -67,7 +90,8 @@ def test_edge_list_duplicate_last_wins(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("0 1 1.0\n1 0 4.0\n")
     g = load_edge_list(path)
-    assert g.neighbors(0)[1] == 4.0 and g.edge_list() == [(0, 1, 4.0)]
+    assert g.m == 1 and g.edge_list() == [(0, 1, 4.0)]
+    assert g.edge_arrays()[2].tolist() == [4.0]
 
 
 def test_edge_list_skips_self_loops_with_warning(tmp_path):
@@ -189,6 +213,33 @@ def test_induced_subgraph_keeps_weights():
     assert sub.n == 3
     assert mapping == [1, 2, 3]
     assert sub.edge_list() == [(0, 1, 2.0), (1, 2, 3.0)]
+
+
+def test_induced_subgraph_matches_neighbor_walk():
+    """The array selection equals the old walk over neighbor dicts.
+
+    Random weighted graphs listed in random order, and node subsets given
+    unsorted, with repeated ids, as lists, arrays and generators.
+    """
+    rng = np.random.default_rng(23)
+    graphs = list(_random_graphs(rng, 120, weighted=True)) + [Graph(1)]
+    for g in graphs:
+        for _ in range(3):
+            size = int(rng.integers(1, 2 * g.n + 1))
+            ids = rng.integers(0, g.n, size=size)
+            for nodes in (ids.tolist(), ids, (int(v) for v in ids)):
+                want, want_map = induced_subgraph_reference(g, ids)
+                got, got_map = induced_subgraph(g, nodes)
+                assert got_map == want_map
+                assert got.n == want.n
+                assert got.edge_list() == want.edge_list()
+                for a, b in zip(got.edge_arrays(), want.edge_arrays()):
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+    with pytest.raises(DomainError):
+        induced_subgraph(Graph(3, [(0, 1)]), [])
+    with pytest.raises(DomainError):
+        induced_subgraph(Graph(3, [(0, 1)]), [0, 3])
 
 
 def test_vec_stacks_columns():

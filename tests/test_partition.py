@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,12 @@ from degnn.errors import DomainError, ParseError
 from degnn.graphs import Graph, connected_components
 from degnn.partition import (
     Partition,
+    _adjacency_lists,
     _fm_refine,
+    _integral,
+    _pack,
+    _unpack,
+    _weights,
     cut_edges,
     cut_weight,
     import_partition,
@@ -23,6 +31,7 @@ from oracles import (
     best_balanced_bipartition_cut,
     brute_cut,
     fm_refine_reference,
+    neighbor_dicts,
     random_balanced_partition,
 )
 
@@ -162,7 +171,11 @@ def test_more_components_than_parts_packs_evenly():
 
 
 def test_partition_leaves_the_graph_adjacency_unchanged():
-    """The partitioner reads g's own neighbor dicts and writes none of them."""
+    """The partitioner changes none of g's edge arrays and keeps no dicts.
+
+    Its per-node dicts are its own: built from g's arrays, one level at a
+    time, and all freed by the time it returns.
+    """
     rng = np.random.default_rng(12)
     one = _random_graph(300, 900, rng)
     weighted = Graph(300, [(i, j, float(rng.uniform(0.5, 2.0)))
@@ -178,9 +191,84 @@ def test_partition_leaves_the_graph_adjacency_unchanged():
     many = Graph(base + 2, edges)
     assert int(connected_components(many).max()) + 1 >= 4
     for g, p in ((one, 8), (weighted, 8), (many, 10), (many, 3)):
-        before = [list(g.neighbors(v).items()) for v in range(g.n)]
-        multilevel_partition(g, p, seed=5)
-        assert [list(g.neighbors(v).items()) for v in range(g.n)] == before
+        before = [a.copy() for a in g.edge_arrays()]
+        first = multilevel_partition(g, p, seed=5)
+        for a, b in zip(g.edge_arrays(), before):
+            assert not a.flags.writeable
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # and so a second call gives the same labels
+        again = multilevel_partition(g, p, seed=5)
+        assert again.labels.tobytes() == first.labels.tobytes()
+
+        # what a call leaves allocated is far below one set of dicts
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            adj = _adjacency_lists(g)
+            dicts = tracemalloc.get_traced_memory()[0] - start
+            del adj
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            part = multilevel_partition(g, p, seed=5)
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert part.labels.tobytes() == first.labels.tobytes()
+        assert left < dicts / 10, (left, dicts)
+
+
+def _permuted(g, rng):
+    """g's edges listed in a random order, each flipped with probability 1/2."""
+    edges = g.edge_list()
+    out = []
+    for e in rng.permutation(len(edges)).tolist():
+        i, j, w = edges[e]
+        out.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
+    return Graph(g.n, out)
+
+
+def test_adjacency_lists_hold_the_edges_neighbors_ascending():
+    """The finest level: one dict per node, its neighbors in ascending id
+    order whatever order the edges were listed in, and each weight read
+    from both ends."""
+    rng = np.random.default_rng(41)
+    base = _random_graph(120, 400, rng)
+    tenths = rng.choice([0.1, 0.2, 0.3, 0.7], size=base.m).tolist()
+    g = Graph(base.n + 3, [(i, j, w) for (i, j, _), w
+                           in zip(base.edge_list(), tenths)])
+    for h in (g, _permuted(g, rng), Graph(4)):
+        got = [list(d.items()) for d in _adjacency_lists(h)]
+        assert got == [sorted(d.items()) for d in neighbor_dicts(h)]
+        assert len(got) == h.n and not got[-1]
+
+
+def test_partition_does_not_depend_on_edge_listing_order():
+    """Labels follow the sorted edge arrays, not the order edges were given.
+
+    Tenths make float sums depend on their order and make gains tie often,
+    so the order in which a level's dicts hold their neighbors matters
+    there most.
+    """
+    rng = np.random.default_rng(31)
+    base = _random_graph(300, 900, rng)
+    pairs = [(i, j) for (i, j, _) in base.edge_list()]
+    kinds = {
+        "unit": [1.0] * base.m,
+        "float": rng.uniform(0.5, 2.0, size=base.m).tolist(),
+        "tenths": rng.choice([0.1, 0.2, 0.3, 0.7], size=base.m).tolist(),
+    }
+    for kind, ws in kinds.items():
+        g = Graph(base.n, [(i, j, w) for (i, j), w in zip(pairs, ws)])
+        shuffled = [_permuted(g, rng) for _ in range(5)]
+        for h in shuffled:
+            assert h.edge_list() == g.edge_list()
+        for p in (2, 5, 8):
+            want = multilevel_partition(g, p, seed=11).labels
+            for t, h in enumerate(shuffled):
+                got = multilevel_partition(h, p, seed=11).labels
+                assert np.array_equal(got, want), (kind, p, t)
 
 
 def test_single_part_and_errors():
@@ -384,6 +472,59 @@ def _fm_starts():
         adj = [{(u - 1) % n: 1.0, (u + 1) % n: 1.0} for u in range(n)]
         labels = [(u // 3) % p for u in range(n)]
         yield adj, [1.0] * n, labels, p, 1.3 * n / p
+
+
+def test_pack_round_trip_keeps_dict_order():
+    """A packed level unpacks to equal dicts, items in the same order."""
+    for adj, node_w, labels, p, cap in _fm_starts():
+        shuffled = []
+        for u, d in enumerate(adj):
+            items = list(d.items())
+            # insertion orders other than ascending, as coarse levels have
+            order = np.random.default_rng(u).permutation(len(items))
+            shuffled.append(dict(items[k] for k in order.tolist()))
+        for level in (adj, shuffled):
+            packed = _pack(level)
+            assert [a.dtype for a in packed] == [np.int64, np.int64,
+                                                 np.float64]
+            back = _unpack(*packed)
+            assert [list(d.items()) for d in back] == \
+                [list(d.items()) for d in level]
+            assert _weights(level).tobytes() == packed[2].tobytes()
+
+
+def test_integral_flag_matches_the_listwise_rule():
+    """_integral of a level's weight array is the boolean FM used to take
+    from a list of every directed weight: a total below 2**53 summed in
+    dict order, and every weight an integer."""
+    def listwise(adj):
+        weights = [w for nbrs in adj for w in nbrs.values()]
+        return (sum(weights) < 2.0 ** 53
+                and all(float(w).is_integer() for w in weights))
+
+    def level(ws):
+        adj = [dict() for _ in range(len(ws) + 1)]
+        for u, w in enumerate(ws):
+            adj[u][u + 1] = adj[u + 1][u] = w
+        return adj
+
+    big = 2.0 ** 50
+    cases = [[], [1.0] * 5, [2.0, 3.0, 7.0], [0.5, 1.0], [0.1, 0.2, 0.7],
+             [big, big, big], [big, big, big, big - 1.0],
+             [big, big, big, big], [big, big, big, big, 0.5],
+             [2.0 ** 52, 1.0], [2.0 ** 51, 2.0 ** 51 - 1.0],
+             [2.0 ** 60], [1e300, 1e300], [1.7e308, 1.7e308], [1.5e-3]]
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ws in cases:
+            adj = level(ws)
+            want = listwise(adj)
+            assert _integral(_weights(adj)) is want, ws
+            seen.add(want)
+    for adj, *_ in _fm_starts():
+        assert _integral(_weights(adj)) is listwise(adj)
+    assert seen == {True, False}
 
 
 def test_fm_refine_matches_reference_loop():
