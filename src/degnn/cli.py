@@ -1,10 +1,10 @@
 """Command-line front door wiring the library into reproducible runs.
 
 Every subcommand is deterministic under (flags, seed, inputs), writes its
-artifacts under --out next to a manifest.json recording the full flag set,
-input file hashes, tool version, and wall-clock time. Exit codes are a
-stable contract: 0 success, 2 for usage or input problems, 3 for numeric
-failures.
+artifacts under --out next to a manifest.json recording every option as
+resolved, input file hashes, tool version, and wall-clock time. Exit codes
+are a stable contract: 0 success, 2 for usage or input problems, 3 for
+numeric failures.
 """
 
 import functools
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -93,10 +93,7 @@ class RunManifest:
     blas: str
     blas_thread_env: dict
     cpu_count: int | None
-    created: str = field(default="")
-
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+    created: str
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -121,31 +118,42 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Path):
-        return str(value)
-    return value
+def _write_json(path, payload):
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
-def _emit_manifest(out_dir, subcommand, flags, seed, inputs, started):
+def _emit_manifest(out_dir, **resolved):
+    """Write manifest.json for the command that is running.
+
+    flags holds every option of the command by its long name, with the value
+    click resolved from the flag, a DEGNN_* variable or the default; resolved
+    replaces the values the command took from elsewhere (a --config file).
+    Every existing input file that was given is hashed.
+    """
+    ctx = click.get_current_context()
+    flags, input_hashes = {}, {}
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        flags[param.opts[0].lstrip("-").replace("-", "_")] = value
+        if (isinstance(param.type, click.Path) and param.type.exists
+                and not param.type.dir_okay and value is not None):
+            input_hashes[value] = _sha256(value)
     manifest = RunManifest(
-        subcommand=subcommand,
-        flags={k: _jsonable(v) for k, v in flags.items()},
-        seed=int(seed),
-        input_hashes={str(p): _sha256(p) for p in inputs},
+        subcommand=ctx.info_name,
+        flags={**flags, **resolved},
+        seed=int(ctx.params["seed"]),
+        input_hashes=input_hashes,
         version=__version__,
-        wall_clock_seconds=time.time() - started,
+        wall_clock_seconds=time.time() - ctx.meta["started"],
         numpy_version=np.__version__,
         blas=_blas_name(),
         blas_thread_env={k: os.environ.get(k) for k in _BLAS_THREAD_VARS},
         cpu_count=os.cpu_count(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(manifest.to_json(), encoding="utf-8")
-    return path
+    _write_json(out_dir / "manifest.json", asdict(manifest))
 
 
 def _out_dir(out):
@@ -155,10 +163,14 @@ def _out_dir(out):
 
 
 def _guarded(fn):
-    """Map library errors to the exit-code contract (2 input, 3 numeric)."""
+    """Map library errors to the exit-code contract (2 input, 3 numeric).
+
+    Also stamps the start time that the manifest's wall clock counts from.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        click.get_current_context().meta["started"] = time.time()
         try:
             return fn(*args, **kwargs)
         except click.ClickException:
@@ -198,6 +210,16 @@ def _int_list_option(ctx, param, value):
         return _parse_int_list(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
+
+
+def _int_set_option(ctx, param, value):
+    """An integer list, each value once, ascending."""
+    return sorted(set(_int_list_option(ctx, param, value)))
+
+
+def _suite_list_option(ctx, param, value):
+    """Each named suite once, in the order first named; default all."""
+    return list(dict.fromkeys(value)) or list(SUITES)
 
 
 def _name_list_option(aliases):
@@ -266,7 +288,6 @@ def main():
 @_guarded
 def partition(edges, p, seed, max_imbalance, out):
     """Split a graph into p balanced parts with a small edge cut."""
-    started = time.time()
     g = load_edge_list(edges)
     part = multilevel_partition(g, p, seed, max_imbalance=max_imbalance)
     stats = partition_stats(g, part)
@@ -275,15 +296,8 @@ def partition(edges, p, seed, max_imbalance, out):
     labels_path.write_text(
         "".join(f"{v}\n" for v in part.labels), encoding="utf-8"
     )
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit_manifest(
-        out_dir, "partition",
-        {"edges": edges, "p": p, "seed": seed,
-         "max_imbalance": max_imbalance, "out": out},
-        seed, [edges], started,
-    )
+    _write_json(out_dir / "stats.json", stats)
+    _emit_manifest(out_dir)
     click.echo(
         f"p={p} cut_edges={stats['cut_edges']} "
         f"imbalance={stats['imbalance']:.4f}"
@@ -307,7 +321,6 @@ def partition(edges, p, seed, max_imbalance, out):
 @_guarded
 def decompose(edges, strategy, k, p, seed, skeleton, out):
     """Split a graph's edges into k pieces, one file per piece."""
-    started = time.time()
     g = load_edge_list(edges)
     source = _STRATEGY_ALIASES[strategy]
     if source == "random":
@@ -319,15 +332,8 @@ def decompose(edges, strategy, k, p, seed, skeleton, out):
     out_dir = _out_dir(out)
     save_decomposition(dec, out_dir)
     stats = decomposition_stats(g, dec)
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit_manifest(
-        out_dir, "decompose",
-        {"edges": edges, "strategy": strategy, "k": k, "p": p, "seed": seed,
-         "skeleton": skeleton, "out": out},
-        seed, [edges], started,
-    )
+    _write_json(out_dir / "stats.json", stats)
+    _emit_manifest(out_dir)
     click.echo(
         f"k={dec.k} source={dec.source} "
         f"skeleton_edges={stats['skeleton_edges']} "
@@ -338,7 +344,7 @@ def decompose(edges, strategy, k, p, seed, skeleton, out):
 
 @main.command()
 @click.option("--which", "suites", multiple=True,
-              type=click.Choice(list(SUITES)),
+              type=click.Choice(list(SUITES)), callback=_suite_list_option,
               help="suite to run; repeatable; default all")
 @click.option("--trials", default=100, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
@@ -347,11 +353,8 @@ def decompose(edges, strategy, k, p, seed, skeleton, out):
 @_guarded
 def verify(suites, trials, seed, out):
     """Run randomized identity suites and report pass counts."""
-    started = time.time()
-    # each named suite once, in the order first named
-    names = list(dict.fromkeys(suites)) or list(SUITES)
     reports = []
-    for name in names:
+    for name in suites:
         rep = _SUITE_BY_NAME[name](trials=trials, seed=seed)
         reports.append(rep)
         click.echo(rep.summary())
@@ -362,15 +365,8 @@ def verify(suites, trials, seed, out):
                        "max_err": rep.max_err, "ok": rep.ok}
             for rep in reports
         }
-        (out_dir / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        _emit_manifest(
-            out_dir, "verify",
-            {"which": names, "trials": trials, "seed": seed, "out": out},
-            seed, [], started,
-        )
+        _write_json(out_dir / "report.json", payload)
+        _emit_manifest(out_dir)
     if any(not rep.ok for rep in reports):
         sys.exit(3)
 
@@ -379,7 +375,7 @@ def verify(suites, trials, seed, out):
 @click.option("--edges", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--depths", default="1..8", show_default=True,
-              callback=_int_list_option,
+              callback=_int_set_option,
               help="depths to evaluate, e.g. 1..12 or 2,4,6")
 @click.option("--dim", default=2, show_default=True, type=int,
               help="feature width of the probe stack")
@@ -397,9 +393,7 @@ def verify(suites, trials, seed, out):
 def decay(edges, depths, dim, sigma_w, slope, samples, epsilon, input_scale,
           seed, out):
     """Bound vs realized singular values and entropy across depth."""
-    started = time.time()
     g = load_edge_list(edges)
-    depths = sorted(set(depths))
     a_mat = normalized_adjacency(g)
     weights = [
         weights_with_top_singular((dim, dim), sigma_w, seed + 1 + i)
@@ -417,13 +411,7 @@ def decay(edges, depths, dim, sigma_w, slope, samples, epsilon, input_scale,
     out_dir = _out_dir(out)
     csv_path = out_dir / "decay.csv"
     write_decay_csv(rows, csv_path)
-    _emit_manifest(
-        out_dir, "decay",
-        {"edges": edges, "depths": depths, "dim": dim, "sigma_w": sigma_w,
-         "slope": slope, "samples": samples, "epsilon": epsilon,
-         "input_scale": input_scale, "seed": seed, "out": out},
-        seed, [edges], started,
-    )
+    _emit_manifest(out_dir)
     last = rows[-1]
     click.echo(
         f"depths {depths[0]}..{depths[-1]}: final bound={last['bound']:.3e} "
@@ -467,7 +455,6 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
           skeleton, nodes, blocks, p_in, p_out, dim, noise, data_seed, seed,
           out):
     """Train one model on a synthetic block-model graph."""
-    started = time.time()
     cfg = _model_config(config, backbone, depth, hidden, k)
     data = _make_data(nodes, blocks, p_in, p_out, dim, noise, data_seed)
     source = _STRATEGY_ALIASES[strategy]
@@ -485,19 +472,13 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
         "best_val_acc": max(result.val_acc),
         "seed": result.seed,
     }
-    (out_dir / "result.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    inputs = [config] if config is not None else []
-    _emit_manifest(
-        out_dir, "train",
-        {"config": config, "backbone": backbone, "depth": cfg.depth,
-         "hidden": cfg.hidden, "k": k, "decompose": strategy, "p": p,
-         "discount": discount, "skeleton": skeleton, "nodes": nodes,
-         "blocks": blocks, "p_in": p_in, "p_out": p_out, "dim": dim,
-         "noise": noise, "data_seed": data_seed, "seed": seed, "out": out},
-        seed, inputs, started,
-    )
+    _write_json(out_dir / "result.json", summary)
+    if config is None:
+        _emit_manifest(out_dir)
+    else:
+        # the file's model keys override the model flags
+        _emit_manifest(out_dir, backbone=cfg.backbone, depth=cfg.depth,
+                       hidden=cfg.hidden, k=cfg.k_schedule)
     click.echo(
         f"test_acc={result.test_acc:.4f} best_epoch={result.best_epoch} "
         f"epochs_run={result.epochs_run}"
@@ -530,7 +511,6 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
            skeleton, nodes, blocks, p_in, p_out, dim, noise, data_seed, seed,
            out):
     """Sweep the number of decomposed pieces; one CSV row per run."""
-    started = time.time()
     cfg = ModelConfig(
         backbone=_BACKBONE_ALIASES[backbone], depth=depth, hidden=hidden,
         k_schedule=tuple([1] * depth),
@@ -544,15 +524,7 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
     out_dir = _out_dir(out)
     csv_path = out_dir / "ksweep.csv"
     write_rows_csv(rows, KSWEEP_COLUMNS, csv_path)
-    _emit_manifest(
-        out_dir, "ksweep",
-        {"k": k_values, "seeds": seeds, "backbone": backbone, "depth": depth,
-         "hidden": hidden, "decompose": strategy, "p": p,
-         "discount": discount, "skeleton": skeleton, "nodes": nodes,
-         "blocks": blocks, "p_in": p_in, "p_out": p_out, "dim": dim,
-         "noise": noise, "data_seed": data_seed, "seed": seed, "out": out},
-        seed, [], started,
-    )
+    _emit_manifest(out_dir)
     for row in rows:
         if row["kind"] == "aggregate":
             click.echo(
@@ -589,7 +561,6 @@ def depthsweep(depths, backbones, sources, seeds, hidden, k, p, discount,
                skeleton, nodes, blocks, p_in, p_out, dim, noise, data_seed,
                seed, out):
     """Compare depths, backbones, and decompositions; CSV per cell."""
-    started = time.time()
     cfg = ModelConfig(
         backbone=backbones[0], depth=2, hidden=hidden, k_schedule=(1, 1),
     )
@@ -602,15 +573,7 @@ def depthsweep(depths, backbones, sources, seeds, hidden, k, p, discount,
     out_dir = _out_dir(out)
     csv_path = out_dir / "depthsweep.csv"
     write_rows_csv(rows, DEPTHSWEEP_COLUMNS, csv_path)
-    _emit_manifest(
-        out_dir, "depthsweep",
-        {"depths": depths, "backbones": backbones, "decompose": sources,
-         "seeds": seeds, "hidden": hidden, "k": k, "p": p,
-         "discount": discount, "skeleton": skeleton, "nodes": nodes,
-         "blocks": blocks, "p_in": p_in, "p_out": p_out, "dim": dim,
-         "noise": noise, "data_seed": data_seed, "seed": seed, "out": out},
-        seed, [], started,
-    )
+    _emit_manifest(out_dir)
     for row in rows:
         if row["kind"] == "aggregate":
             click.echo(

@@ -746,11 +746,11 @@ DEPTHSWEEP_COLUMNS = (
 
 def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
                 discount=False, with_skeleton=True):
-    """Test accuracy across depth, backbone, and decomposition source."""
-    # a partition depends on (graph, p, layer seed) only, so cells that
-    # share a layer seed share it, whatever their depth or backbone
-    partitions = {}
-    rows = []
+    """Test accuracy across depth, backbone, and decomposition source.
+
+    Every cell's settings are checked before the first one trains.
+    """
+    cells = []
     for backbone in backbones:
         if backbone not in BACKBONES:
             raise DomainError(f"unknown backbone {backbone!r}")
@@ -764,11 +764,17 @@ def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
                     cfg, backbone=backbone, depth=depth, k_schedule=sched
                 )
                 key = {"backbone": backbone, "depth": depth, "source": source}
-                rows += _seed_rows(
-                    DEPTHSWEEP_COLUMNS, key, cfg_cell, data, seeds,
-                    source=source, p=p, discount=discount,
-                    with_skeleton=with_skeleton, partitions=partitions,
-                )
+                cells.append((key, cfg_cell))
+    # a partition depends on (graph, p, layer seed) only, so cells that
+    # share a layer seed share it, whatever their depth or backbone
+    partitions = {}
+    rows = []
+    for key, cfg_cell in cells:
+        rows += _seed_rows(
+            DEPTHSWEEP_COLUMNS, key, cfg_cell, data, seeds,
+            source=key["source"], p=p, discount=discount,
+            with_skeleton=with_skeleton, partitions=partitions,
+        )
     return rows
 
 

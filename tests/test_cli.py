@@ -1,6 +1,7 @@
 """End-to-end tests for the command line, via click's test runner."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -70,6 +71,65 @@ def test_partition_writes_labels_stats_manifest(tmp_path):
         for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     }
     assert manifest["cpu_count"] == os.cpu_count()
+
+
+_SBM_NAMES = ("nodes", "blocks", "p_in", "p_out", "dim", "noise", "data_seed")
+
+
+@pytest.mark.parametrize("command, args, names, expect", [
+    ("partition", ["--edges", "{edges}", "--p", "2"],
+     ("edges", "p", "seed", "max_imbalance", "out"),
+     {"p": 2, "max_imbalance": 1.3}),
+    ("decompose", ["--edges", "{edges}", "--k", "2", "--no-skeleton"],
+     ("edges", "strategy", "k", "p", "seed", "skeleton", "out"),
+     {"strategy": "ca", "k": 2, "p": 4, "skeleton": False}),
+    ("verify", ["--which", "kron"],
+     ("which", "trials", "seed", "out"),
+     {"which": ["kron"], "trials": 5}),
+    ("decay", ["--edges", "{edges}", "--depths", "3,1,3", "--samples", "2",
+               "--sigma-w", "0.25"],
+     ("edges", "depths", "dim", "sigma_w", "slope", "samples", "epsilon",
+      "input_scale", "seed", "out"),
+     {"depths": [1, 3], "sigma_w": 0.25, "samples": 2}),
+    ("train", ["--backbone", "jk", "--depth", "3", *_SBM_FLAGS],
+     ("config", "backbone", "depth", "hidden", "k", "decompose", "p",
+      "discount", "skeleton", *_SBM_NAMES, "seed", "out"),
+     {"config": None, "backbone": "jk", "depth": 3, "k": 1,
+      "decompose": "none", "nodes": 80, "p_in": 0.2, "data_seed": 7}),
+    ("ksweep", ["--k", "1..2", "--seeds", "0", *_SBM_FLAGS],
+     ("k", "seeds", "backbone", "depth", "hidden", "decompose", "p",
+      "discount", "skeleton", *_SBM_NAMES, "seed", "out"),
+     {"k": [1, 2], "seeds": [0], "decompose": "ca"}),
+    ("depthsweep", ["--depths", "2", "--backbones", "jk", "--decompose",
+                    "none", "--seeds", "0", *_SBM_FLAGS],
+     ("depths", "backbones", "decompose", "seeds", "hidden", "k", "p",
+      "discount", "skeleton", *_SBM_NAMES, "seed", "out"),
+     {"depths": [2], "backbones": ["jknet"], "decompose": ["none"]}),
+])
+def test_manifest_records_every_option(tmp_path, command, args, names,
+                                       expect):
+    """flags holds each option by long name as resolved, env vars too."""
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "run"
+    argv = [arg.format(edges=edges) for arg in args]
+    res = _run([command, *argv, "--seed", "3", "--out", str(out)],
+               env={"DEGNN_VERIFY_TRIALS": "5"})
+    assert res.exit_code == 0
+    # the options in the order the command declares them; the file itself
+    # sorts its keys
+    assert [param.opts[0] for param in main.commands[command].params] == [
+        "--" + name.replace("_", "-") for name in names]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["flags"]) == sorted(names)
+    assert manifest["flags"]["seed"] == 3 and manifest["seed"] == 3
+    assert manifest["flags"]["out"] == str(out)
+    for name, value in expect.items():
+        assert manifest["flags"][name] == value, name
+    assert manifest["subcommand"] == command
+    hashed = [edges] if "{edges}" in args else []
+    assert manifest["input_hashes"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in hashed}
 
 
 def test_partition_is_deterministic(tmp_path):
@@ -256,13 +316,19 @@ def test_train_runs_are_reproducible(tmp_path):
 
 def test_train_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "model.cfg"
-    cfg.write_text("backbone = gcn\ndepth = 3\nhidden = 8\n")
+    cfg.write_text("backbone = jknet\ndepth = 3\nhidden = 8\n"
+                   "k_schedule = 2,2,1\n")
     out = tmp_path / "run"
-    res = _run(["train", "--config", str(cfg), "--depth", "2",
+    res = _run(["train", "--config", str(cfg), "--backbone", "gcn",
+                "--depth", "2", "--k", "1", "--decompose", "random",
                 *_SBM_FLAGS, "--out", str(out)])
     assert res.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    # the manifest records the model the file set, not the ignored flags
+    assert manifest["flags"]["backbone"] == "jknet"
     assert manifest["flags"]["depth"] == 3
+    assert manifest["flags"]["hidden"] == 8
+    assert manifest["flags"]["k"] == [2, 2, 1]
     assert str(cfg) in manifest["input_hashes"]
 
 

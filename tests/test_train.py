@@ -518,6 +518,25 @@ def test_k_sweep_without_decomposition_rejects_k_before_training(monkeypatch):
         k_sweep(_cfg(), _MIXED, k_values=[1, 2], seeds=[0], source="none")
 
 
+@pytest.mark.parametrize("cells, message", [
+    (dict(depths=[2, 1], backbones=["gcn"], sources=["none", "random"]),
+     "depth must be >= 2"),
+    (dict(depths=[2], backbones=["gcn", "mlp"], sources=["none"]),
+     "unknown backbone"),
+    (dict(depths=[2], backbones=["gcn"], sources=["none", "spectral"]),
+     "unknown source"),
+], ids=["depth", "backbone", "source"])
+def test_depth_sweep_rejects_a_bad_cell_before_training(monkeypatch, cells,
+                                                       message):
+    """A bad later cell fails before the earlier cells train."""
+    calls = []
+    monkeypatch.setattr(degnn.train, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(DomainError, match=message):
+        depth_sweep(_cfg(), _MIXED, seeds=[0, 1], k=2, **cells)
+    assert calls == []
+
+
 def test_depth_sweep_rows_and_aggregates():
     cfg = _cfg()
     rows = depth_sweep(cfg, _MIXED, depths=[2], backbones=["gcn"],

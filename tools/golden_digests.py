@@ -15,9 +15,10 @@ Two trees whose outputs are byte-identical print identical lines, so
 
 is the byte-identity check. The set covers decay, verify (also at a trial
 count that the suites run in several blocks), train for every backbone
-(vanilla and random-decomposed), partition, connectivity-aware decompose,
-and the k and depth sweeps with both the random and the connectivity-aware
-decomposition. It takes a few minutes on two cores.
+(vanilla and random-decomposed) and from a --config file, partition,
+connectivity-aware decompose, and the k and depth sweeps with both the random
+and the connectivity-aware decomposition. It takes a few minutes on two
+cores.
 """
 
 import hashlib
@@ -80,7 +81,13 @@ def commands(work):
                       "--k", "3", "--decompose", "random"]))
         cmds.append((f"train_{backbone}_van",
                      ["train", "--backbone", backbone, "--depth", "4"]))
+    # a non-uniform schedule that only a --config file can set
+    model = work / "model.cfg"
+    model.write_text("backbone = jknet\ndepth = 4\nhidden = 16\n"
+                     "k_schedule = 3,2,2,1\nmax_epochs = 60\npatience = 60\n")
     cmds += [
+        ("train_config", ["train", "--config", str(model),
+                          "--decompose", "random"]),
         ("ksweep", ["ksweep", "--k", "1..3", "--depth", "3"]),
         ("ksweep_ca", ["ksweep", "--k", "1..3", "--depth", "2",
                        "--seeds", "0..1", "--decompose", "ca", "--p", "16"]),
