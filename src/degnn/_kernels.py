@@ -1,10 +1,11 @@
-"""The one-sided Jacobi sweep, in numpy.
+"""The one-sided Jacobi sweep that degnn.spectral drives, in numpy.
 
 A sweep visits every column pair once, rotating whenever the pair is not
 yet orthogonal relative to its own scale. Pairs come in a round-robin order
 (Brent & Luk 1985): each round is a set of disjoint pairs, so one numpy call
-rotates all of them, in every matrix of a stack at once. The driver in
-degnn.spectral owns convergence.
+rotates all of them, in every matrix of a stack at once; a single matrix is
+a stack of one. degnn.spectral owns convergence and looks jacobi_sweep up
+here at call time.
 """
 
 from functools import lru_cache

@@ -37,6 +37,7 @@ from .propagate import (
 )
 from .train import (
     BACKBONES,
+    DECOMP_SOURCES,
     DEPTHSWEEP_COLUMNS,
     KSWEEP_COLUMNS,
     ModelConfig,
@@ -54,20 +55,13 @@ from .verify import SUITES
 # the verify command looks its suites up here by token at call time
 _SUITE_BY_NAME = SUITES
 
-_STRATEGY_ALIASES = {
+# short names the name options take beside the canonical ones; callbacks
+# resolve them, so commands and manifests see canonical names only
+_SHORT_NAMES = {
     "ca": "connectivity_aware",
-    "connectivity_aware": "connectivity_aware",
-    "random": "random",
-    "none": "none",
-}
-_BACKBONE_ALIASES = {
-    "gcn": "gcn",
     "res": "resgcn",
-    "resgcn": "resgcn",
     "dense": "densegcn",
-    "densegcn": "densegcn",
     "jk": "jknet",
-    "jknet": "jknet",
 }
 
 
@@ -222,19 +216,32 @@ def _suite_list_option(ctx, param, value):
     return list(dict.fromkeys(value)) or list(SUITES)
 
 
-def _name_list_option(aliases):
+def _choices(names):
+    """names and the short names of those among them, sorted."""
+    shorts = [short for short, name in _SHORT_NAMES.items() if name in names]
+    return sorted([*names, *shorts])
+
+
+def _canonical_option(ctx, param, value):
+    return _SHORT_NAMES.get(value, value)
+
+
+def _name_list_option(canonical):
+    """A comma list of names or short names, resolved to canonical names."""
+    choices = _choices(canonical)
+
     def callback(ctx, param, value):
         names = []
         for part in str(value).split(","):
             part = part.strip()
             if not part:
                 continue
-            if part not in aliases:
+            if part not in choices:
                 raise click.BadParameter(
                     f"unknown value {part!r}; choose from "
-                    + ", ".join(sorted(set(aliases)))
+                    + ", ".join(choices)
                 )
-            names.append(aliases[part])
+            names.append(_SHORT_NAMES.get(part, part))
         if not names:
             raise click.BadParameter("expected at least one name")
         return names
@@ -309,7 +316,8 @@ def partition(edges, p, seed, max_imbalance, out):
 @click.option("--edges", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", default="ca", show_default=True,
-              type=click.Choice(["ca", "connectivity_aware", "random"]))
+              type=click.Choice(_choices(("connectivity_aware", "random"))),
+              callback=_canonical_option)
 @click.option("--k", required=True, type=int, help="number of pieces")
 @click.option("--p", default=4, show_default=True, type=int,
               help="partition count used by the connectivity-aware strategy")
@@ -322,8 +330,7 @@ def partition(edges, p, seed, max_imbalance, out):
 def decompose(edges, strategy, k, p, seed, skeleton, out):
     """Split a graph's edges into k pieces, one file per piece."""
     g = load_edge_list(edges)
-    source = _STRATEGY_ALIASES[strategy]
-    if source == "random":
+    if strategy == "random":
         dec = random_decompose(g, k, seed)
     else:
         dec = connectivity_aware_decompose(
@@ -424,7 +431,7 @@ def _model_config(config, backbone, depth, hidden, k):
     if config is not None:
         return load_model_config(config)
     return ModelConfig(
-        backbone=_BACKBONE_ALIASES[backbone], depth=depth, hidden=hidden,
+        backbone=backbone, depth=depth, hidden=hidden,
         k_schedule=tuple([k] * depth),
     )
 
@@ -434,13 +441,15 @@ def _model_config(config, backbone, depth, hidden, k):
               type=click.Path(exists=True, dir_okay=False),
               help="key=value model file; overrides the model flags")
 @click.option("--backbone", default="gcn", show_default=True,
-              type=click.Choice(sorted(_BACKBONE_ALIASES)))
+              type=click.Choice(_choices(BACKBONES)),
+              callback=_canonical_option)
 @click.option("--depth", default=2, show_default=True, type=int)
 @click.option("--hidden", default=16, show_default=True, type=int)
 @click.option("--k", default=1, show_default=True, type=int,
               help="pieces per layer (uniform schedule)")
 @click.option("--decompose", "strategy", default="none", show_default=True,
-              type=click.Choice(sorted(_STRATEGY_ALIASES)),
+              type=click.Choice(_choices(DECOMP_SOURCES)),
+              callback=_canonical_option,
               help="adjacency decomposition fed to the model")
 @click.option("--p", default=4, show_default=True, type=int)
 @click.option("--discount/--no-discount", default=False, show_default=True,
@@ -457,9 +466,8 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
     """Train one model on a synthetic block-model graph."""
     cfg = _model_config(config, backbone, depth, hidden, k)
     data = _make_data(nodes, blocks, p_in, p_out, dim, noise, data_seed)
-    source = _STRATEGY_ALIASES[strategy]
     result = train_model(
-        cfg, data, source=source, seed=seed, p=p, discount=discount,
+        cfg, data, source=strategy, seed=seed, p=p, discount=discount,
         with_skeleton=skeleton,
     )
     out_dir = _out_dir(out)
@@ -493,11 +501,13 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
 @click.option("--seeds", default="0..4", show_default=True,
               callback=_int_list_option)
 @click.option("--backbone", default="gcn", show_default=True,
-              type=click.Choice(sorted(_BACKBONE_ALIASES)))
+              type=click.Choice(_choices(BACKBONES)),
+              callback=_canonical_option)
 @click.option("--depth", default=2, show_default=True, type=int)
 @click.option("--hidden", default=16, show_default=True, type=int)
 @click.option("--decompose", "strategy", default="ca", show_default=True,
-              type=click.Choice(sorted(_STRATEGY_ALIASES)))
+              type=click.Choice(_choices(DECOMP_SOURCES)),
+              callback=_canonical_option)
 @click.option("--p", default=4, show_default=True, type=int)
 @click.option("--discount/--no-discount", default=False, show_default=True)
 @click.option("--skeleton/--no-skeleton", default=True, show_default=True)
@@ -512,13 +522,12 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
            out):
     """Sweep the number of decomposed pieces; one CSV row per run."""
     cfg = ModelConfig(
-        backbone=_BACKBONE_ALIASES[backbone], depth=depth, hidden=hidden,
+        backbone=backbone, depth=depth, hidden=hidden,
         k_schedule=tuple([1] * depth),
     )
     data = _make_data(nodes, blocks, p_in, p_out, dim, noise, data_seed)
-    source = _STRATEGY_ALIASES[strategy]
     rows = k_sweep(
-        cfg, data, k_values, [seed + s for s in seeds], source=source, p=p,
+        cfg, data, k_values, [seed + s for s in seeds], source=strategy, p=p,
         discount=discount, with_skeleton=skeleton,
     )
     out_dir = _out_dir(out)
@@ -538,10 +547,10 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
 @click.option("--depths", default="2,4,6,8", show_default=True,
               callback=_int_list_option)
 @click.option("--backbones", default="gcn", show_default=True,
-              callback=_name_list_option(_BACKBONE_ALIASES),
+              callback=_name_list_option(BACKBONES),
               help="comma list, e.g. gcn,dense,res,jk")
 @click.option("--decompose", "sources", default="none,ca", show_default=True,
-              callback=_name_list_option(_STRATEGY_ALIASES),
+              callback=_name_list_option(DECOMP_SOURCES),
               help="comma list of decomposition strategies to compare")
 @click.option("--seeds", default="0..4", show_default=True,
               callback=_int_list_option)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .graphs import normalized_adjacency, union_find
 from .partition import multilevel_partition
-from .spectral import _svd_each
+from .spectral import svd_each
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +206,7 @@ def spectral_splits(mats, groups):
             raise DomainError(f"need 1 <= groups <= {n}, got {count}")
         arrays.append(a)
     return [_split(a, count, res)
-            for a, count, res in zip(arrays, groups, _svd_each(arrays))]
+            for a, count, res in zip(arrays, groups, svd_each(arrays))]
 
 
 def _split(a, groups, res):

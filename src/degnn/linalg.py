@@ -25,21 +25,6 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-def as_stack(m, name="stack"):
-    """Validate and return a 3-D (count, rows, cols) float64 array of matrices.
-
-    The same checks as as_matrix, applied to every matrix of the stack.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 3:
-        raise DomainError(f"{name} must be 3-D, got ndim={a.ndim}")
-    if 0 in a.shape:
-        raise DomainError(f"{name} must have positive dimensions, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return a
-
-
 def as_vector(v, name="vector"):
     """Validate and return a 1-D float64 array with finite entries."""
     a = np.asarray(v, dtype=np.float64)

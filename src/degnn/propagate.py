@@ -18,11 +18,12 @@ import numpy as np
 from .errors import DomainError
 from .linalg import as_matrix, as_vector, vec
 from .spectral import (
-    _sigma_each,
+    check_svd_side,
     composite_operator,
     gcn_regime,
     graphcnn_regime,
     singular_extremes,
+    svd_each,
 )
 
 
@@ -296,30 +297,29 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     entropy of the depth-l outputs. inputs may supply explicit feature
     matrices; otherwise n_samples are drawn at unit max-abs scale by seed.
 
-    All samples advance one layer at a time. The products live in one
-    (n_samples, rows, cols) array, updated in place while the feature width
-    stays the same, so each requested depth's products are copied out
-    unless their singular values are taken at once. Consecutive requested
-    depths are held until their products would pass DECAY_BATCH_BYTES,
-    then all of them go to the SVD kernel as one batch (_sigma_each,
-    singular values only); a depth whose products alone pass it is taken
-    alone. Each matrix keeps its own stopping rule, so row values are the
-    bits of one svd() per depth. Peak memory is about five times the
-    batch: the held products, the kernel's working copy of them, and the
-    kernel's two round buffers, allocated once per sweep, which hold the
-    rows a round pairs up and their rotated swap (tracemalloc peak: 31
-    stacks for depths 1..6 of 16 products of 80 x 80 or of 200 x 200, the
-    latter a batch of 29.3 MiB peaking at 4.7 times DECAY_BATCH_BYTES;
-    5.4 stacks, 4.40 MB, for depth 1 or depth 6 alone at 80 x 80).
-    So it stays within about five times DECAY_BATCH_BYTES, or five and a
-    half times one depth's products when they alone pass it; that last
-    case was measured on small products only.
+    All samples advance one layer at a time, each layer's products in a
+    fresh (n_samples, rows, cols) array. Consecutive requested depths are
+    held until their products would pass DECAY_BATCH_BYTES, then all of
+    them go to the SVD kernel as one batch (svd_each, singular values only);
+    a depth whose products alone pass it is taken alone. Each matrix keeps
+    its own stopping rule, so row values are the bits of one svd() per
+    depth. Every requested depth's product shape is checked against svd's
+    size cap before any layer is realized. Peak memory is about five times
+    the batch: the held products, the kernel's working copy of them, and
+    the kernel's two round buffers (tracemalloc peak: 31 stacks for depths
+    1..6 of 16 products of 80 x 80 or of 200 x 200, the latter a batch of
+    29.3 MiB peaking at 4.7 times DECAY_BATCH_BYTES; 5.5 stacks for one
+    depth alone at 80 x 80, the bound where one depth's products alone
+    pass DECAY_BATCH_BYTES).
     """
     depths = [int(d) for d in depths]
     if not depths or depths != sorted(set(depths)):
         raise DomainError("depths must be distinct and sorted ascending")
     if depths[0] < 1 or depths[-1] > stack.depth:
         raise DomainError(f"depths must lie in [1, {stack.depth}]")
+    for d in depths:
+        check_svd_side((stack.n * stack.layer_weights[d - 1][0].shape[1],
+                        stack.n * stack.in_dim))
     if inputs is None:
         inputs = random_unit_features(stack.n, stack.in_dim, n_samples, seed)
     else:
@@ -339,10 +339,7 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     products = None  # per sample: the realized end-to-end product so far
     layers = _realized_layers(stack.prefix(depths[-1]), inputs)
     for li, (m, masks, outputs) in enumerate(layers, start=1):
-        if products is None or products.shape[1] != m.shape[0]:
-            nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
-        else:
-            nxt = products  # updated in place, one sample at a time
+        nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
         for s, mask in enumerate(masks):
             layer_mat = mask[:, None] * m
             nxt[s] = layer_mat if products is None else layer_mat @ products[s]
@@ -361,10 +358,10 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
                 "seed": int(seed),
             }
         )
-        held.append(products if li in last else products.copy())
+        held.append(products)
         if li not in last:
             continue
-        sigma = _sigma_each([p for h in held for p in h])
+        sigma = svd_each([p for h in held for p in h], compute_uv=False)
         for b, row in enumerate(rows[-len(held):]):
             per_sample = np.array(sigma[b * n_samples:(b + 1) * n_samples])
             row["max_sv"] = float(per_sample[:, 0].max())

@@ -1,10 +1,10 @@
 """Singular value machinery and information-flow regime certificates.
 
-svd() is a one-sided Jacobi implementation (the sweeps live in
-degnn._kernels). numpy's own factorizations are deliberately not used here:
-the verification suite cross-checks this routine against an independent
-characteristic-polynomial oracle, so the certified path must be this code
-and nothing else.
+svd() is a one-sided Jacobi implementation and svd_each() the same for many
+matrices at once (the sweeps live in degnn._kernels). numpy's own
+factorizations are deliberately not used here: the verification suite
+cross-checks this routine against an independent characteristic-polynomial
+oracle, so the certified path must be this code and nothing else.
 
 The regime classifiers turn singular-value extremes into one of three labels:
   decay          per-layer contraction < 1, end-to-end map shrinks to zero
@@ -23,7 +23,7 @@ import numpy as np
 
 from degnn import _kernels
 from degnn.errors import DomainError, NumericError
-from degnn.linalg import as_matrix, as_stack, kron
+from degnn.linalg import as_matrix, kron
 
 MAX_SVD_SIDE = 2048
 MAX_SWEEPS = 60
@@ -123,7 +123,8 @@ def _no_convergence(off, rel, threshold, b, count):
     )
 
 
-def _check_side(shape):
+def check_svd_side(shape):
+    """Raise DomainError unless svd() takes a matrix of this shape."""
     if min(shape) > MAX_SVD_SIDE:
         raise DomainError(
             f"svd supports min(rows, cols) <= {MAX_SVD_SIDE}, got {shape}"
@@ -168,6 +169,8 @@ def _sorted_norms(bt):
 def svd(m, compute_uv=True):
     """Singular value decomposition via one-sided Jacobi rotations.
 
+    m is one 2-D matrix (DomainError otherwise); svd_each takes many.
+
     Convergence requires both the contract criterion (off-diagonal Frobenius
     norm of the implicit Gram matrix B^T B below 1e-12 * ||m||_F) and a
     relative one: every pair of columns above the negligibility cut must be
@@ -189,30 +192,9 @@ def svd(m, compute_uv=True):
 
     compute_uv=False returns the singular values alone, as a descending
     array: the sweeps accumulate no V and no U is completed; sigma is the
-    same as with compute_uv=True. m may then also be a (count, rows, cols)
-    stack, and the result is (count, min(rows, cols)), row b holding the
-    singular values of m[b]. Every matrix of a stack keeps its own stopping
-    rule, and the stack raises NumericError whenever one of its matrices
-    would. A single matrix is swept as a stack of one by the same kernel
-    (degnn._kernels.jacobi_sweep), so row b is the same bits as
-    svd(m[b]).sigma. The stack is swept in one working array its own size,
-    and each round of a sweep rotates a gathered copy of the rows it pairs.
-    A stack always takes compute_uv=False; the full factors of many
-    matrices at once come from the private _svd_each.
+    same as with compute_uv=True.
     """
-    if np.ndim(m) == 3:
-        if compute_uv:
-            raise DomainError("a stack of matrices needs compute_uv=False")
-        a = as_stack(m, "m")
-        _check_side(a.shape[1:])
-        return _jacobi(a, with_v=False)[0]
-    a = as_matrix(m, "m")
-    _check_side(a.shape)
-    sigma, sig_cut, states = _jacobi((a,), with_v=compute_uv)
-    if not compute_uv:
-        return sigma[0]
-    return _factors(states[0][0], states[1][0], sigma[0], sig_cut[0],
-                    wide=a.shape[0] < a.shape[1])
+    return svd_each([m], compute_uv)[0]
 
 
 def _factors(bt, vt, sigma, sig_cut, wide):
@@ -326,22 +308,28 @@ def _jacobi(a, with_v):
         rotations = _kernels.jacobi_sweep(bt, vt, PAIR_TOL)
 
 
-def _svd_each(mats, compute_uv=True):
-    """svd(m, compute_uv) of every 2-D array m of mats, in input order.
+def svd_each(mats, compute_uv=True):
+    """svd(m, compute_uv) of every matrix m of mats, as a list in input order.
 
-    Matrices of one shape are swept as one batch, one _jacobi call per
-    shape, each read where it lies. So result i is the same bits as
-    svd(mats[i], compute_uv) for any memory layout, Fortran-ordered and
-    strided views included: an SVDResult with compute_uv, the descending
-    singular values without. Validation is svd()'s, matrix by matrix.
+    mats is a sequence of 2-D arrays or a (count, rows, cols) array. Every
+    matrix is validated, and its shape checked against the size cap, before
+    any is swept. Matrices of one shape are then swept as one batch by the
+    same kernel as svd() (degnn._kernels.jacobi_sweep), one _jacobi call per
+    shape, in a working array the batch's own size; each round of a sweep
+    rotates a gathered copy of the rows it pairs. Each matrix keeps its own
+    stopping rule, a converged matrix leaves its batch, and a batch raises
+    NumericError whenever one of its matrices would. Each matrix is read
+    where it lies, so result i is the same bits as svd(mats[i], compute_uv)
+    for any memory layout, Fortran-ordered and strided views included: an
+    SVDResult with compute_uv, the descending singular values without.
     """
     arrays = [as_matrix(m, "m") for m in mats]
     by_shape = {}
     for i, a in enumerate(arrays):
+        check_svd_side(a.shape)
         by_shape.setdefault(a.shape, []).append(i)
     out = [None] * len(arrays)
     for shape, idx in by_shape.items():
-        _check_side(shape)
         sigma, sig_cut, states = _jacobi([arrays[i] for i in idx],
                                          with_v=compute_uv)
         for b, i in enumerate(idx):
@@ -351,15 +339,6 @@ def _svd_each(mats, compute_uv=True):
             else:
                 out[i] = sigma[b]
     return out
-
-
-def _sigma_each(mats):
-    """svd(m, compute_uv=False) of every 2-D array m of mats, in input order.
-
-    One batch per shape, as _svd_each; row i is the same bits as
-    svd(mats[i]).sigma whatever the memory layout of mats[i].
-    """
-    return _svd_each(mats, compute_uv=False)
 
 
 def singular_extremes(m):
@@ -439,7 +418,7 @@ def gcn_regime(a_mat, weights, slope=0.2):
     if not weights:
         raise DomainError("need at least one weight matrix")
     weights = [as_matrix(w, "weight") for w in weights]
-    s_a, *s_w = _sigma_each([a_mat, *weights])
+    s_a, *s_w = svd_each([a_mat, *weights], compute_uv=False)
     sigma_w = max(float(s[0]) for s in s_w)
     gamma_w = min(float(s[-1]) for s in s_w)
     return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w, slope)
@@ -475,11 +454,16 @@ def graphcnn_regime(pieces, layer_weights, slope=0.2):
         raise DomainError("need at least one piece matrix")
     if not layer_weights:
         raise DomainError("need at least one layer of weights")
-    n = as_matrix(pieces[0], "piece").shape
-    if n[0] != n[1]:
+    n, cols = as_matrix(pieces[0], "piece").shape
+    if n != cols:
         raise DomainError("piece matrices must be square")
-    sigmas = _sigma_each([composite_operator(pieces, wk)
-                          for wk in layer_weights])
+    # each M_i's shape against svd's cap, before any M_i is formed
+    for wk in layer_weights:
+        if len(wk):
+            d_in, d_out = as_matrix(wk[0], "piece weight").shape
+            check_svd_side((d_out * n, d_in * n))
+    sigmas = svd_each([composite_operator(pieces, wk)
+                       for wk in layer_weights], compute_uv=False)
     sup_sigma = max(float(s[0]) for s in sigmas)
     inf_gamma = min(float(s[-1]) for s in sigmas)
     return _classify(sup_sigma, inf_gamma, 1.0, 1.0, slope)
@@ -514,7 +498,7 @@ def kron_sum_spectrum(split, w_pieces):
         if ws and w_k.shape != ws[0].shape:
             raise DomainError("weight pieces must share one dimension")
         ws.append(w_k)
-    out = np.concatenate([split.sigma[k] * sw
-                          for k, sw in enumerate(_sigma_each(ws))])
+    out = np.concatenate([split.sigma[k] * sw for k, sw in
+                          enumerate(svd_each(ws, compute_uv=False))])
     out.sort()
     return out[::-1].copy()

@@ -15,12 +15,7 @@ from .decompose import spectral_splits
 from .errors import DomainError
 from .linalg import kron, vec
 from .propagate import forward, gcn_stack, graphcnn_stack, linearized_map
-from .spectral import (
-    _sigma_each,
-    gcn_regime,
-    graphcnn_regime,
-    kron_sum_spectrum,
-)
+from .spectral import gcn_regime, graphcnn_regime, kron_sum_spectrum, svd_each
 
 # trials a batched suite draws, factors and scores at a time, so its memory
 # does not grow with the trial count; the rng stream runs on from block to
@@ -138,7 +133,7 @@ def check_split_spectrum(trials=100, seed=0, tol=1e-8):
             sum(kron(w_k, a_k) for w_k, a_k in zip(w_pieces, split.pieces))
             for split, w_pieces in zip(splits, w_sets)
         ]
-        for c, brute in zip(closed, _sigma_each(totals)):
+        for c, brute in zip(closed, svd_each(totals, compute_uv=False)):
             err = float(np.max(np.abs(c - brute)))
             max_err = max(max_err, err)
             passed += err < tol
@@ -173,7 +168,7 @@ def check_kron_identities(trials=100, seed=0, sv_tol=1e-8, vec_tol=1e-10):
             rhs = kron(right.T, left) @ vec(mid)
             vec_errs.append(float(np.max(np.abs(lhs - rhs))))
 
-        sigmas = _sigma_each(mats)
+        sigmas = svd_each(mats, compute_uv=False)
         for t, vec_err in enumerate(vec_errs):
             direct, sa, sb = sigmas[3 * t:3 * t + 3]
             outer = np.sort(np.outer(sa, sb), axis=None)
@@ -249,8 +244,9 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
         drawn = [_draw_regime_trial(t % 3, rng) for t in block]
         # force decay: rescale the weights so sigma_a * sigma_w = 0.9
         decaying = [tr for tr in drawn if tr["kind"] == 0]
-        sigmas = iter(_sigma_each(
-            [m for tr in decaying for m in (tr["a_mat"], *tr["weights"])]
+        sigmas = iter(svd_each(
+            [m for tr in decaying for m in (tr["a_mat"], *tr["weights"])],
+            compute_uv=False,
         ))
         for tr in decaying:
             sigma_a = next(sigmas)[0]
@@ -275,7 +271,7 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
             stack = gcn_stack(tr["a_mat"], tr["weights"], slope=tr["slope"])
             maps.append(linearized_map(stack, tr["x"])[0])
 
-        realized = iter(_sigma_each(maps))
+        realized = iter(svd_each(maps, compute_uv=False))
         for tr, rep in zip(drawn, reports):
             if tr["kind"] == 2:
                 # the label must match the rule

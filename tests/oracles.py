@@ -10,9 +10,9 @@ earlier FM refinement; it shares MAX_FM_PASSES and the cut count with
 degnn.partition. The per-trial verify suites at the end are the loops the
 batched suites in degnn.verify replaced; they call the library functions
 under test, one svd() per matrix. decay_curve_per_depth is
-degnn.propagate.decay_curve with one svd() per requested depth. The
-*_decompose_reference functions are the tuple-of-triples decompositions
-that degnn.decompose's index arrays replaced. adjacency and
+degnn.propagate.decay_curve with one svd_each() batch per requested depth.
+The *_decompose_reference functions are the tuple-of-triples
+decompositions that degnn.decompose's index arrays replaced. adjacency and
 connected_components_dfs are the dense adjacency and the depth-first
 search that degnn.graphs' edge arrays and union-find replaced, and
 induced_subgraph_reference the neighbor-dict walk that its array selection
@@ -588,7 +588,8 @@ def check_regimes_per_trial(trials, seed, tol=1e-9):
 
 def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
                           inputs=None):
-    """degnn.propagate.decay_curve with one svd() stack per requested depth."""
+    """degnn.propagate.decay_curve with one svd_each() batch per requested
+    depth."""
     from degnn.linalg import vec
     from degnn.propagate import (
         _check_features,
@@ -596,7 +597,7 @@ def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
         quantized_entropy,
         random_unit_features,
     )
-    from degnn.spectral import svd
+    from degnn.spectral import svd_each
 
     depths = [int(d) for d in depths]
     if inputs is None:
@@ -622,7 +623,7 @@ def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
         products = nxt
         if li not in want:
             continue
-        sigma = svd(products, compute_uv=False)
+        sigma = np.array(svd_each(products, compute_uv=False))
         rows.append(
             {
                 "depth": li,

@@ -82,7 +82,8 @@ _SBM_NAMES = ("nodes", "blocks", "p_in", "p_out", "dim", "noise", "data_seed")
      {"p": 2, "max_imbalance": 1.3}),
     ("decompose", ["--edges", "{edges}", "--k", "2", "--no-skeleton"],
      ("edges", "strategy", "k", "p", "seed", "skeleton", "out"),
-     {"strategy": "ca", "k": 2, "p": 4, "skeleton": False}),
+     {"strategy": "connectivity_aware", "k": 2, "p": 4,
+      "skeleton": False}),
     ("verify", ["--which", "kron"],
      ("which", "trials", "seed", "out"),
      {"which": ["kron"], "trials": 5}),
@@ -94,12 +95,12 @@ _SBM_NAMES = ("nodes", "blocks", "p_in", "p_out", "dim", "noise", "data_seed")
     ("train", ["--backbone", "jk", "--depth", "3", *_SBM_FLAGS],
      ("config", "backbone", "depth", "hidden", "k", "decompose", "p",
       "discount", "skeleton", *_SBM_NAMES, "seed", "out"),
-     {"config": None, "backbone": "jk", "depth": 3, "k": 1,
+     {"config": None, "backbone": "jknet", "depth": 3, "k": 1,
       "decompose": "none", "nodes": 80, "p_in": 0.2, "data_seed": 7}),
     ("ksweep", ["--k", "1..2", "--seeds", "0", *_SBM_FLAGS],
      ("k", "seeds", "backbone", "depth", "hidden", "decompose", "p",
       "discount", "skeleton", *_SBM_NAMES, "seed", "out"),
-     {"k": [1, 2], "seeds": [0], "decompose": "ca"}),
+     {"k": [1, 2], "seeds": [0], "decompose": "connectivity_aware"}),
     ("depthsweep", ["--depths", "2", "--backbones", "jk", "--decompose",
                     "none", "--seeds", "0", *_SBM_FLAGS],
      ("depths", "backbones", "decompose", "seeds", "hidden", "k", "p",

@@ -1,9 +1,11 @@
 import numpy as np
 
 from degnn import _kernels
-from degnn._kernels import jacobi_sweep
-from degnn._kernels._jacobi_np import _schedule
-from degnn.spectral import svd
+from degnn._kernels import _schedule, jacobi_sweep
+from degnn.decompose import spectral_splits
+from degnn.propagate import decay_curve, gcn_stack
+from degnn.spectral import svd, svd_each
+from degnn.verify import SUITES
 from oracles import singular_values_cyclic_jacobi
 
 
@@ -74,7 +76,7 @@ def test_svd_looks_up_its_sweeps_at_call_time(monkeypatch):
     calls.clear()
     # singular values only: the sweeps get an empty V and still count
     stack = rng.normal(size=(3, 5, 4))
-    svd(stack, compute_uv=False)
+    svd_each(stack, compute_uv=False)
     assert calls and calls[0] == (3, 0)
     assert {width for _, width in calls} == {0}
     # the stack sweeps until its slowest matrix converges
@@ -86,3 +88,31 @@ def test_svd_looks_up_its_sweeps_at_call_time(monkeypatch):
         assert set(calls) == {(1, 0)}
         alone.append(len(calls))
     assert sweeps == max(alone)
+
+
+def test_batched_callers_look_up_the_sweep_at_call_time(monkeypatch):
+    # the wrapper is set after every caller was imported
+    calls = []
+    inner = _kernels.jacobi_sweep
+
+    def counting(bt, vt, delta):
+        calls.append(bt.shape[0])
+        return inner(bt, vt, delta)
+
+    monkeypatch.setattr(_kernels, "jacobi_sweep", counting)
+    rng = np.random.default_rng(9)
+    stack = gcn_stack(rng.normal(size=(5, 5)),
+                      [rng.normal(size=(2, 2)) for _ in range(3)])
+    decay_curve(stack, [1, 3], n_samples=3)
+    assert calls
+    swept = set()
+    for name, check in SUITES.items():
+        calls.clear()
+        check(trials=6, seed=0)
+        if calls:
+            swept.add(name)
+    # lemma1 compares a forward pass with a product and takes no SVD
+    assert swept == {"lemma3", "kron", "regimes"}
+    calls.clear()
+    spectral_splits([rng.normal(size=(4, 4))], [2])
+    assert calls

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from degnn import _kernels, propagate, spectral
 from degnn.errors import DomainError
 from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import kron, vec
@@ -298,6 +299,46 @@ def test_decay_curve_rejects_misshaped_inputs():
         with pytest.raises(DomainError):
             linearized_map(stack, short)
     assert len(decay_curve(stack, [1, 2], inputs=[good])) == 2
+
+
+def test_decay_curve_checks_the_svd_cap_before_any_work(monkeypatch):
+    work = {"layers": 0, "operators": 0, "sweeps": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            work[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def layers(stack, inputs):
+        for layer in inner_layers(stack, inputs):
+            work["layers"] += 1
+            yield layer
+
+    inner_layers = propagate._realized_layers
+    monkeypatch.setattr(propagate, "_realized_layers", layers)
+    for module in (propagate, spectral):
+        monkeypatch.setattr(module, "composite_operator", counted(
+            "operators", module.composite_operator))
+    monkeypatch.setattr(_kernels, "jacobi_sweep", counted(
+        "sweeps", _kernels.jacobi_sweep))
+    monkeypatch.setattr(spectral, "MAX_SVD_SIDE", 50)
+    rng = np.random.default_rng(31)
+    plain = gcn_stack(rng.normal(size=(40, 40)),
+                      [rng.normal(size=(2, 2)) for _ in range(3)])
+    with pytest.raises(DomainError, match=r"<= 50, got \(80, 80\)"):
+        decay_curve(plain, [1, 2, 3], n_samples=2)
+    # depth 1 is (30, 60) and fits; depth 2 is (60, 60) and does not
+    pieces = [rng.normal(size=(30, 30)) for _ in range(2)]
+    decomposed = graphcnn_stack(pieces, [
+        [rng.normal(size=(2, 1)) for _ in pieces],
+        [rng.normal(size=(1, 2)) for _ in pieces],
+    ])
+    with pytest.raises(DomainError, match=r"got \(60, 60\)"):
+        decay_curve(decomposed, [1, 2], n_samples=2)
+    assert work == {"layers": 0, "operators": 0, "sweeps": 0}
+    decay_curve(decomposed, [1], n_samples=2)
+    assert work["layers"] == 1 and work["sweeps"] > 0
 
 
 def test_decay_curve_validates_depths():

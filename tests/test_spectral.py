@@ -11,6 +11,7 @@ from degnn.spectral import (
     graphcnn_regime,
     singular_extremes,
     svd,
+    svd_each,
 )
 from oracles import gram_state_single, singular_values_charpoly
 
@@ -183,10 +184,10 @@ def test_svd_scales_exactly_by_powers_of_two():
     for shape in ((6, 5), (3, 7)):
         signs = rng.choice([-1.0, 1.0], size=(2, *shape))
         m = rng.uniform(0.5, 2.0, size=(2, *shape)) * signs
-        want = svd(m, compute_uv=False)
+        want = svd_each(m, compute_uv=False)
         for k in (-1000, -600, 600, 1000):
             scaled = np.ldexp(m, k)
-            got = svd(scaled, compute_uv=False)
+            got = svd_each(scaled, compute_uv=False)
             assert np.array_equal(got, np.ldexp(want, k))
             for b in range(len(m)):
                 assert np.array_equal(svd(scaled[b]).sigma, got[b])
@@ -198,8 +199,8 @@ def test_svd_scales_exactly_by_powers_of_two():
         assert np.allclose(res.sigma, want, rtol=1e-15, atol=0.0)
         assert np.allclose(svd(diag * scale, compute_uv=False), want,
                            rtol=1e-15, atol=0.0)
-        assert np.allclose(svd((diag * scale)[None], compute_uv=False)[0],
-                           want, rtol=1e-15, atol=0.0)
+        stacked = svd_each((diag * scale)[None], compute_uv=False)
+        assert np.allclose(stacked[0], want, rtol=1e-15, atol=0.0)
         assert np.max(np.abs(res.reconstruct() / scale - diag)) < 1e-14
 
 
@@ -212,13 +213,15 @@ def test_svd_stack_matches_per_matrix_sigma():
     tall[3] *= 1e-150  # scaled apart from the rest of the stack
     wide = rng.normal(size=(3, 4, 9))
     wide[1][-1] = wide[1][0]  # rank-deficient
-    for stack in (tall, wide, wide[2:]):
-        got = svd(stack, compute_uv=False)
-        assert got.shape == (len(stack), min(stack.shape[1:]))
+    for stack in (tall, wide, wide[2:], np.asfortranarray(tall)):
+        got = svd_each(stack, compute_uv=False)
+        factors = svd_each(stack)
+        assert np.shape(got) == (len(stack), min(stack.shape[1:]))
         for b, m in enumerate(stack):
-            want = svd(m).sigma
-            assert np.array_equal(got[b], want)
-            assert np.array_equal(svd(m, compute_uv=False), want)
+            want = svd(m)
+            assert np.array_equal(got[b], want.sigma)
+            _assert_same_factors(factors[b], want)
+            assert np.array_equal(svd(m, compute_uv=False), want.sigma)
 
 
 def test_batched_gram_state_matches_per_matrix():
@@ -256,7 +259,7 @@ def test_sigma_each_groups_by_shape_in_input_order(monkeypatch):
         return inner(a, with_v)
 
     monkeypatch.setattr(spectral, "_jacobi", counting)
-    got = spectral._sigma_each(mats)
+    got = svd_each(mats, compute_uv=False)
     # one batch per shape, in order of first appearance, without V
     assert calls == [(shape, shapes.count(shape), False)
                      for shape in dict.fromkeys(shapes)]
@@ -296,7 +299,7 @@ def test_svd_each_factors_match_svd(monkeypatch):
         return inner(a, with_v)
 
     monkeypatch.setattr(spectral, "_jacobi", counting)
-    got = spectral._svd_each(mats)
+    got = svd_each(mats)
     assert calls == [((6, 6), 7, True), ((4, 9), 3, True), ((9, 4), 2, True),
                      ((1, 1), 3, True)]
     assert len(got) == len(mats)
@@ -314,8 +317,8 @@ def test_svd_each_reads_any_memory_layout():
         base[1::2, 1::2].T.copy().T,  # Fortran-ordered via a transpose
         base[6:, 5:].copy(),
     ]
-    sigmas = spectral._sigma_each(mats)
-    factors = spectral._svd_each(mats)
+    sigmas = svd_each(mats, compute_uv=False)
+    factors = svd_each(mats)
     for m, sigma, res in zip(mats, sigmas, factors):
         want = svd(m)
         assert np.array_equal(sigma, want.sigma)
@@ -339,9 +342,9 @@ def test_svd_stack_raises_whenever_a_matrix_would(monkeypatch):
         outcomes.add(bool(failing))
         if failing:
             with pytest.raises(NumericError):
-                svd(stack, compute_uv=False)
+                svd_each(stack, compute_uv=False)
         else:
-            svd(stack, compute_uv=False)
+            svd_each(stack, compute_uv=False)
     # the cap range covers both a failing and a converging stack
     assert outcomes == {True, False}
 
@@ -363,14 +366,67 @@ def test_svd_sweeps_at_most_max_sweeps(monkeypatch):
     assert len(sweeps) == 2
     sweeps.clear()
     with pytest.raises(NumericError, match="in 2 sweeps"):
-        svd(np.stack([np.eye(8), m]), compute_uv=False)
+        svd_each(np.stack([np.eye(8), m]), compute_uv=False)
     assert len(sweeps) == 2
 
 
 def test_svd_stack_rejects_bad_input():
+    for compute_uv in (True, False):
+        with pytest.raises(DomainError, match="2-D"):
+            svd(np.ones((2, 3, 3)), compute_uv=compute_uv)  # one matrix only
     with pytest.raises(DomainError):
-        svd(np.ones((2, 3, 3)))  # stacks take compute_uv=False only
-    with pytest.raises(DomainError):
-        svd(np.full((2, 3, 3), np.nan), compute_uv=False)
-    with pytest.raises(DomainError):
-        svd(np.ones((0, 3, 3)), compute_uv=False)
+        svd_each(np.full((2, 3, 3), np.nan), compute_uv=False)
+    # an empty stack is an empty sequence of matrices
+    assert svd_each(np.ones((0, 3, 3)), compute_uv=False) == []
+    assert svd_each([]) == []
+
+
+def test_oversize_matrices_are_rejected_before_any_sweep(monkeypatch):
+    sweeps = []
+    inner = _kernels.jacobi_sweep
+
+    def counting(bt, vt, delta):
+        sweeps.append(bt.shape[0])
+        return inner(bt, vt, delta)
+
+    monkeypatch.setattr(_kernels, "jacobi_sweep", counting)
+    monkeypatch.setattr(spectral, "MAX_SVD_SIDE", 4)
+    rng = np.random.default_rng(26)
+    small, big = rng.normal(size=(6, 4)), rng.normal(size=(5, 7))
+    message = r"min\(rows, cols\) <= 4, got \(5, 7\)"
+    for compute_uv in (True, False):
+        with pytest.raises(DomainError, match=message):
+            svd(big, compute_uv=compute_uv)
+        # a batch that sweeps comes first, the oversize matrix last
+        with pytest.raises(DomainError, match=message):
+            svd_each([small, small.T, big], compute_uv=compute_uv)
+    assert sweeps == []
+    # at the cap, the same matrices sweep
+    svd_each([small, small.T])
+    assert sweeps
+
+
+def test_graphcnn_regime_checks_the_cap_before_forming_operators(
+        monkeypatch):
+    formed = []
+    inner = spectral.composite_operator
+
+    def counting(pieces, piece_weights):
+        formed.append(len(pieces))
+        return inner(pieces, piece_weights)
+
+    monkeypatch.setattr(spectral, "composite_operator", counting)
+    monkeypatch.setattr(spectral, "MAX_SVD_SIDE", 10)
+    rng = np.random.default_rng(27)
+    pieces = [rng.normal(size=(6, 6)) for _ in range(2)]
+    layers = [[rng.normal(size=(2, 2)) for _ in pieces] for _ in range(5)]
+    with pytest.raises(DomainError, match=r"<= 10, got \(12, 12\)"):
+        graphcnn_regime(pieces, layers)
+    assert formed == []
+    # one narrower layer ahead of the wide ones changes nothing
+    narrow = [[rng.normal(size=(2, 1)) for _ in pieces]]
+    with pytest.raises(DomainError, match=r"got \(12, 12\)"):
+        graphcnn_regime(pieces, narrow + layers)
+    assert formed == []
+    graphcnn_regime(pieces, narrow)
+    assert formed == [2]

@@ -13,8 +13,9 @@ Two trees whose outputs are byte-identical print identical lines, so
 
     diff <(python3 tools/golden_digests.py A) <(python3 tools/golden_digests.py B)
 
-is the byte-identity check. The set covers decay, verify (also at a trial
-count that the suites run in several blocks), train for every backbone
+is the byte-identity check. The set covers decay (also at two depths with
+unrequested layers between them), verify (also at a trial count that the
+suites run in several blocks), train for every backbone
 (vanilla and random-decomposed) and from a --config file, partition,
 connectivity-aware decompose, and the k and depth sweeps with both the random
 and the connectivity-aware decomposition. It takes a few minutes on two
@@ -66,6 +67,9 @@ def commands(work):
     cmds = [
         ("decay", ["decay", "--edges", str(cycle), "--depths", "1..6",
                    "--samples", "4", "--dim", "3"]),
+        # a held depth waits across layers that were not requested
+        ("decay_gaps", ["decay", "--edges", str(cycle), "--depths", "2,5",
+                        "--samples", "4", "--dim", "3"]),
         ("verify", ["verify", "--trials", "40"]),
         # more trials than one batch of the verify suites holds
         ("verify_blocks", ["verify", "--trials", "300", "--seed", "11"]),
