@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .graphs import normalized_adjacency, union_find
+from .graphs import piece_entries, union_find
 from .partition import multilevel_partition
 from .spectral import svd_each
 
@@ -252,37 +252,35 @@ def decomposition_stats(g, d):
     }
 
 
-def piece_matrices(g, d, discount=False):
-    """Dense propagation matrices, one per piece of a decomposition.
+def residuals(d):
+    """Each piece's own edges: its indices that are not in the skeleton."""
+    shared = np.zeros(len(d.edges[0]), dtype=bool)
+    shared[d.skeleton] = True
+    return [piece[~shared[piece]] for piece in d.pieces]
 
-    Entries come from the symmetrically normalized matrix of the whole graph
-    (self loops included), masked to each piece; every piece shares the
-    self-loop diagonal. For certificates and tests only: each matrix is
-    n x n, so this is sized for small graphs. The trainer builds the same
-    pieces sparsely (train.PieceOperator), and the tests use this function
-    as its oracle.
+
+def piece_matrices(g, d, discount=False):
+    """Dense propagation matrices, one per piece of a decomposition of g.
+
+    Piece t is the trainer's entries (graphs.piece_entries) of slot t and
+    the shared slot, scattered into an n x n array: the normalized matrix
+    (self loops included) masked to the piece's edges and the diagonal.
+    For certificates and tests only, so sized for small graphs.
 
     discount divides the shared entries (skeleton edges and the self-loop
     diagonal) by k in every piece so the pieces sum to the whole-graph
     matrix again.
     """
-    if d.n != g.n:
-        raise DomainError("decomposition is over a different node set")
-    k = d.k
-    lo, hi, _ = d.edges
-    shared = np.zeros(len(lo), dtype=bool)
-    shared[d.skeleton] = True
-    base = normalized_adjacency(g)
+    if d.n != g.n or not all(map(np.array_equal, d.edges, g.edge_arrays())):
+        raise DomainError("decomposition is not of this graph's edges")
+    rows, cols, slots, vals = piece_entries(g, d.k, d.skeleton, residuals(d),
+                                            discount)
     out = []
-    for piece in d.pieces:
-        m = np.zeros_like(base)
-        np.fill_diagonal(m, np.diag(base) / (k if discount else 1))
-        i, j = lo[piece], hi[piece]
-        v = base[i, j]
-        if discount:
-            v = np.where(shared[piece], v / k, v)
-        m[i, j] = v
-        m[j, i] = v
+    for t in range(d.k):
+        # the shared slot is k; with k = 1 every entry is in slot 0
+        at = (slots == t) | (slots == d.k)
+        m = np.zeros((g.n, g.n))
+        m[rows[at], cols[at]] = vals[at]
         out.append(m)
     return out
 

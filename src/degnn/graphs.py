@@ -172,20 +172,44 @@ def normalized_values(g, i, j, w):
     return w * inv_sqrt[i] * inv_sqrt[j]
 
 
+def piece_entries(g, k, skeleton, residuals, discount=False):
+    """(rows, cols, slots, vals) of k pieces of D^{-1/2} (A + I) D^{-1/2}.
+
+    skeleton and each of the k residuals are index arrays into
+    g.edge_arrays(). Every piece holds the diagonal and the skeleton edges,
+    stored once in a shared slot (k, or 0 when k is 1), and piece t its
+    residual edges in slot t. discount divides the shared entries by k, so
+    the pieces sum to the whole-graph matrix again. The diagonal comes
+    first, then each edge (i < j) at (i, j) and (j, i) with one value.
+    """
+    n = g.n
+    lo, hi, weight = g.edge_arrays()
+    upper = np.concatenate([skeleton, *residuals])
+    diag = np.arange(n)
+    i = np.r_[diag, lo[upper]]
+    j = np.r_[diag, hi[upper]]
+    w = np.r_[np.ones(n), weight[upper]]
+    shared_slot = k if k > 1 else 0
+    slots = np.repeat([shared_slot, shared_slot, *range(k)],
+                      [n, len(skeleton), *map(len, residuals)])
+    vals = normalized_values(g, i, j, w)
+    if discount:
+        vals[:n + len(skeleton)] /= k
+    off = slice(n, None)
+    return (np.r_[i, j[off]], np.r_[j, i[off]], np.r_[slots, slots[off]],
+            np.r_[vals, vals[off]])
+
+
 def normalized_adjacency(g):
     """Symmetric degree-normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
     Degrees are row sums of the self-looped matrix, so every degree is at
-    least 1, isolated nodes included. The result has spectral norm 1. Entry
-    (i, j) is normalized_values at (i, j), row i's scale applied first.
+    least 1, isolated nodes included. The result has spectral norm 1. It is
+    the one piece of piece_entries over every edge, as a dense array.
     """
-    i, j, w = g.edge_arrays()
-    diag = np.arange(g.n)
-    rows = np.concatenate((diag, i, j))
-    cols = np.concatenate((diag, j, i))
+    rows, cols, _, vals = piece_entries(g, 1, np.arange(0), [np.arange(g.m)])
     a = np.zeros((g.n, g.n))
-    a[rows, cols] = normalized_values(
-        g, rows, cols, np.concatenate((np.ones(g.n), w, w)))
+    a[rows, cols] = vals
     return a
 
 

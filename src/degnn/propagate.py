@@ -31,19 +31,23 @@ from .spectral import (
 class LayerStack:
     """L layers of piece matrices with per-piece, per-layer weights.
 
-    pieces: K square matrices shared by all layers (K=1 for the plain
-    variant). layer_weights: one tuple of K weight matrices per layer,
-    chained so layer i's column count feeds layer i+1's rows.
+    pieces: K square matrices shared by all layers. layer_weights: one
+    sequence of K weight matrices per layer, chained so layer i's column
+    count feeds layer i+1's rows. Both are stored as tuples of validated
+    float64 arrays (linalg.as_matrix). One piece is the plain GCN stack,
+    several the decomposed one; regime() picks the certificate that fits.
     """
 
-    variant: str
     pieces: tuple
     layer_weights: tuple
-    slope: float
+    slope: float = 0.2
 
     def __post_init__(self):
-        if self.variant not in ("gcn", "graphcnn"):
-            raise DomainError(f"unknown stack variant {self.variant!r}")
+        object.__setattr__(self, "pieces", tuple(
+            as_matrix(a, "piece") for a in self.pieces))
+        object.__setattr__(self, "layer_weights", tuple(
+            tuple(as_matrix(w, "weight") for w in layer)
+            for layer in self.layer_weights))
         # slope 1 makes the stack linear (mask = identity), which is useful
         # on its own; the regime certificates stay restricted to (0, 1)
         if not (0.0 < float(self.slope) <= 1.0):
@@ -51,9 +55,8 @@ class LayerStack:
         if not self.pieces:
             raise DomainError("need at least one piece matrix")
         n = self.pieces[0].shape[0]
-        for a in self.pieces:
-            if a.shape != (n, n):
-                raise DomainError("piece matrices must be square and same size")
+        if any(a.shape != (n, n) for a in self.pieces):
+            raise DomainError("piece matrices must be square and same size")
         if not self.layer_weights:
             raise DomainError("need at least one layer")
         d_prev = None
@@ -64,9 +67,8 @@ class LayerStack:
                     f"{len(self.pieces)} pieces"
                 )
             shape = layer[0].shape
-            for w in layer:
-                if w.shape != shape:
-                    raise DomainError(f"layer {li} weights disagree on shape")
+            if any(w.shape != shape for w in layer):
+                raise DomainError(f"layer {li} weights disagree on shape")
             if d_prev is not None and shape[0] != d_prev:
                 raise DomainError(
                     f"layer {li} expects {shape[0]} input columns, "
@@ -90,16 +92,11 @@ class LayerStack:
         """The stack truncated to its first `depth` layers."""
         if not (1 <= depth <= self.depth):
             raise DomainError(f"depth must lie in [1, {self.depth}]")
-        return LayerStack(
-            variant=self.variant,
-            pieces=self.pieces,
-            layer_weights=self.layer_weights[:depth],
-            slope=self.slope,
-        )
+        return LayerStack(self.pieces, self.layer_weights[:depth], self.slope)
 
     def regime(self):
-        """Certificate report for this stack's per-layer factors."""
-        if self.variant == "gcn":
+        """gcn_regime's report for one piece, graphcnn_regime's for several."""
+        if len(self.pieces) == 1:
             return gcn_regime(
                 self.pieces[0],
                 [layer[0] for layer in self.layer_weights],
@@ -109,23 +106,8 @@ class LayerStack:
 
 
 def gcn_stack(a_mat, weights, slope=0.2):
-    """Stack with a single propagation matrix and one weight per layer."""
-    a_mat = as_matrix(a_mat, "a_mat")
-    layer_weights = tuple((as_matrix(w, "weight"),) for w in weights)
-    return LayerStack(
-        variant="gcn", pieces=(a_mat,), layer_weights=layer_weights, slope=slope
-    )
-
-
-def graphcnn_stack(pieces, layer_weights, slope=0.2):
-    """Stack with K piece matrices and K weight matrices per layer."""
-    pieces = tuple(as_matrix(a, "piece") for a in pieces)
-    layer_weights = tuple(
-        tuple(as_matrix(w, "weight") for w in layer) for layer in layer_weights
-    )
-    return LayerStack(
-        variant="graphcnn", pieces=pieces, layer_weights=layer_weights, slope=slope
-    )
+    """One-piece LayerStack: propagation matrix a_mat, one weight per layer."""
+    return LayerStack((a_mat,), tuple((w,) for w in weights), slope)
 
 
 def prelu(z, slope):
@@ -156,13 +138,14 @@ def forward(stack, x0):
 
 
 def _realized_layers(stack, inputs):
-    """Per layer: (operator, masks, outputs) realized on vectorized inputs.
+    """Per layer: (products, outputs) realized on vectorized inputs.
 
     inputs holds one vectorized input per row, validated here. The layer's
-    composite operator is built once and shared by every row; row s of
-    masks is the {slope, 1} diagonal read off the signs of row s's
-    pre-activation (entry >= 0 maps to 1), and row s of outputs is that
-    mask times the pre-activation.
+    composite operator is built once and shared by every row; row s's mask
+    is the {slope, 1} diagonal read off the signs of its pre-activation
+    (entry >= 0 maps to 1). Row s of outputs is that mask times the
+    pre-activation, and products[s], in a fresh array per layer, is the
+    masked operator times the previous products[s]: row s's end-to-end map.
     """
     ys = as_matrix(inputs, "input")
     if ys.shape[1] != stack.n * stack.in_dim:
@@ -170,12 +153,18 @@ def _realized_layers(stack, inputs):
             f"input must have {stack.n * stack.in_dim} entries, "
             f"got {ys.shape[1]}"
         )
+    products = None
     for layer in stack.layer_weights:
         m = composite_operator(stack.pieces, layer)
         z = np.array([m @ y for y in ys])
         masks = np.where(z >= 0.0, 1.0, stack.slope)
+        nxt = np.empty((len(ys), m.shape[0], stack.n * stack.in_dim))
+        for s, mask in enumerate(masks):
+            layer_mat = mask[:, None] * m
+            nxt[s] = layer_mat if products is None else layer_mat @ products[s]
+        products = nxt
         ys = masks * z
-        yield m, masks, ys
+        yield products, ys
 
 
 def linearized_map(stack, x):
@@ -186,10 +175,8 @@ def linearized_map(stack, x):
     vectorized forward pass exactly up to float roundoff.
     """
     x = as_vector(x, "x")
-    product = None
-    for m, masks, _ in _realized_layers(stack, x[None, :]):
-        layer_mat = masks[0][:, None] * m
-        product = layer_mat if product is None else layer_mat @ product
+    for products, _ in _realized_layers(stack, x[None, :]):
+        product = products[0]
     return product, product @ x
 
 
@@ -336,14 +323,8 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     last = {depths[run[-1]] for run in _batches(sizes, DECAY_BATCH_BYTES)}
     rows = []
     held = []  # the products of each row since the last batch
-    products = None  # per sample: the realized end-to-end product so far
     layers = _realized_layers(stack.prefix(depths[-1]), inputs)
-    for li, (m, masks, outputs) in enumerate(layers, start=1):
-        nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
-        for s, mask in enumerate(masks):
-            layer_mat = mask[:, None] * m
-            nxt[s] = layer_mat if products is None else layer_mat @ products[s]
-        products = nxt
+    for li, (products, outputs) in enumerate(layers, start=1):
         if li not in want:
             continue
         rows.append(

@@ -114,8 +114,8 @@ def _gram_state(bt, shape_max):
     return off, rel, sig_cut
 
 
-def _no_convergence(off, rel, threshold, b, count):
-    where = f" (matrix {b} of the stack)" if count > 1 else ""
+def _no_convergence(off, rel, threshold, where):
+    where = f" (mats[{where}])" if where is not None else ""
     return NumericError(
         f"jacobi svd did not converge in {MAX_SWEEPS} sweeps{where} "
         f"(gram off-diagonal {off:.3e} vs {threshold:.3e}, "
@@ -181,8 +181,8 @@ def svd(m, compute_uv=True):
     with min(rows, cols) <= 2048; wide input is handled by transposing.
 
     The iteration runs on m scaled to unit Frobenius norm (singular values
-    scale linearly and are multiplied back), so convergence behavior is
-    scale-invariant: the Gram criterion in the scaled frame is exactly
+    scale linearly and are multiplied back), so convergence behavior does
+    not depend on the scale: the Gram criterion in the scaled frame is exactly
     off < 1e-12 * ||m_scaled||_F. Without the pre-scaling, float64 rounding
     noise in the Gram entries (~2e-16 * ||m||_F^2) would exceed the absolute
     threshold for ||m||_F beyond ~1e3 regardless of algorithm. A power of
@@ -227,7 +227,7 @@ def _factors(bt, vt, sigma, sig_cut, wide):
     return SVDResult(u=u, sigma=sigma, v=v)
 
 
-def _jacobi(a, with_v):
+def _jacobi(a, with_v, names):
     """Sweep every matrix of a to svd()'s stopping rule, as one batch.
 
     a is a sequence of 2-D float64 arrays of one shape (a 3-D array is
@@ -246,7 +246,7 @@ def _jacobi(a, with_v):
     converges while others still sweep is copied out before compaction
     overwrites it. Without with_v, states is None. Raises NumericError
     after MAX_SWEEPS sweeps, or on a stall (a sweep that moved no pair of a
-    matrix while its convergence tests still fail).
+    matrix while its convergence tests still fail), naming a[b] as names[b].
     """
     count = len(a)
     rows, cols = np.shape(a[0])
@@ -277,7 +277,7 @@ def _jacobi(a, with_v):
             if stalled.size:
                 pos = stalled[0]
                 raise _no_convergence(off[pos], rel[pos],
-                                      threshold[live[pos]], live[pos], count)
+                                      threshold[live[pos]], names[live[pos]])
         done = live[converged]
         if done.size:
             norms = _sorted_norms(bt[converged])[0]
@@ -297,7 +297,7 @@ def _jacobi(a, with_v):
         if swept == MAX_SWEEPS:
             pos = keep[0]
             raise _no_convergence(off[pos], rel[pos], threshold[live[pos]],
-                                  live[pos], count)
+                                  names[live[pos]])
         if keep.size < live.size:
             bt[: keep.size] = bt[keep]
             vt[: keep.size] = vt[keep]
@@ -318,10 +318,11 @@ def svd_each(mats, compute_uv=True):
     shape, in a working array the batch's own size; each round of a sweep
     rotates a gathered copy of the rows it pairs. Each matrix keeps its own
     stopping rule, a converged matrix leaves its batch, and a batch raises
-    NumericError whenever one of its matrices would. Each matrix is read
-    where it lies, so result i is the same bits as svd(mats[i], compute_uv)
-    for any memory layout, Fortran-ordered and strided views included: an
-    SVDResult with compute_uv, the descending singular values without.
+    NumericError whenever one of its matrices would, naming mats[i] if there
+    are several. Each matrix is read where it lies, so result i is the same
+    bits as svd(mats[i], compute_uv) for any memory layout, Fortran-ordered
+    and strided views included: an SVDResult with compute_uv, the
+    descending singular values without.
     """
     arrays = [as_matrix(m, "m") for m in mats]
     by_shape = {}
@@ -330,8 +331,9 @@ def svd_each(mats, compute_uv=True):
         by_shape.setdefault(a.shape, []).append(i)
     out = [None] * len(arrays)
     for shape, idx in by_shape.items():
+        names = idx if len(arrays) > 1 else [None]
         sigma, sig_cut, states = _jacobi([arrays[i] for i in idx],
-                                         with_v=compute_uv)
+                                         compute_uv, names)
         for b, i in enumerate(idx):
             if compute_uv:
                 out[i] = _factors(states[0][b], states[1][b], sigma[b],

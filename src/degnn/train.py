@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decompose import layer_decompositions
+from .decompose import layer_decompositions, residuals
 from .errors import DomainError, ParseError, TrainingError
-from .graphs import Graph, normalized_values
+from .graphs import Graph, piece_entries
 from .propagate import _write_csv, prelu
 
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
@@ -312,7 +312,9 @@ class PieceOperator:
     H (sum_k W_k), and each piece's residual edges in slot k. With one piece
     there is nothing to share, so all entries sit in slot 0. An entry e adds
     vals[e] * (H V_slot)[col] to its row, where V_k = W_k and V_shared is
-    the sum of the W_k.
+    the sum of the W_k. The entries (rows, cols, slots, vals) are those
+    of graphs.piece_entries, which piece_matrices scatters into dense
+    pieces.
 
     Entries are sorted by (row, slot, col), the order in which each output
     sums them. Both passes gather `width` features per entry into buf, a
@@ -419,38 +421,6 @@ class PieceOperator:
             [g[:, s * width:(s + 1) * width] for s in range(self.slots)])
 
 
-def _piece_operator(g, k, skeleton, residuals, discount, width, buf,
-                    row_keys):
-    """PieceOperator of k pieces: shared skeleton plus one residual per piece.
-
-    skeleton and each of the k residuals are index arrays into
-    g.edge_arrays(); together they hold every edge of g once. discount
-    divides the shared entries (skeleton and diagonal) by k, so the pieces
-    sum to the whole-graph matrix again. buf is the flat gather buffer the
-    operator shares, at least (n + 2 m) * width long, and row_keys the row
-    keys that the model's operators of this width share.
-    """
-    n = g.n
-    lo, hi, weight = g.edge_arrays()
-    upper = np.concatenate([skeleton, *residuals])
-    diag = np.arange(n)
-    i = np.r_[diag, lo[upper]]
-    j = np.r_[diag, hi[upper]]
-    w = np.r_[np.ones(n), weight[upper]]
-    shared_slot = k if k > 1 else 0
-    slots = np.repeat([shared_slot, shared_slot, *range(k)],
-                      [n, len(skeleton), *map(len, residuals)])
-    vals = normalized_values(g, i, j, w)
-    if discount:
-        shared = slice(0, n + len(skeleton))
-        vals[shared] = vals[shared] / k
-    # the diagonal once, each edge in both triangles with the same value
-    off = slice(n, None)
-    return PieceOperator(n, k, np.r_[i, j[off]], np.r_[j, i[off]],
-                         np.r_[slots, slots[off]], np.r_[vals, vals[off]],
-                         width, buf, row_keys)
-
-
 def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
                      partitions, widths):
     """One PieceOperator per layer for the requested decomposition.
@@ -478,12 +448,8 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
             g, cfg.k_schedule, source, p=p, seed=seed,
             with_skeleton=with_skeleton, partitions=partitions,
         )
-        parts = []
-        for d, width in zip(decs, widths):
-            shared = np.zeros(g.m, dtype=bool)
-            shared[d.skeleton] = True
-            residuals = [piece[~shared[piece]] for piece in d.pieces]
-            parts.append((d.k, d.skeleton, residuals, width))
+        parts = [(d.k, d.skeleton, residuals(d), width)
+                 for d, width in zip(decs, widths)]
         which = range(len(parts))
     # each operator holds the diagonal and every edge twice, n + 2 m entries,
     # and layers run one at a time, so all operators gather into one buffer
@@ -496,9 +462,9 @@ def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
     rows = np.repeat(np.arange(g.n), degree + 1)
     row_keys = {width: (rows[:, None] * width + np.arange(width)).ravel()
                 for width in set(widths)}
-    ops = [_piece_operator(g, k, skeleton, residuals, discount, width, buf,
-                           row_keys[width])
-           for k, skeleton, residuals, width in parts]
+    ops = [PieceOperator(g.n, k, *piece_entries(g, k, skeleton, own, discount),
+                         width, buf, row_keys[width])
+           for k, skeleton, own, width in parts]
     return [ops[i] for i in which]
 
 

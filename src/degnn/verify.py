@@ -14,7 +14,7 @@ import numpy as np
 from .decompose import spectral_splits
 from .errors import DomainError
 from .linalg import kron, vec
-from .propagate import forward, gcn_stack, graphcnn_stack, linearized_map
+from .propagate import LayerStack, forward, gcn_stack, linearized_map
 from .spectral import gcn_regime, graphcnn_regime, kron_sum_spectrum, svd_each
 
 # trials a batched suite draws, factors and scores at a time, so its memory
@@ -89,7 +89,7 @@ def check_linearization(trials=100, seed=0, tol=1e-9):
                 [rng.normal(size=(dims[i], dims[i + 1])) for _ in range(k)]
                 for i in range(depth)
             ]
-            stack = graphcnn_stack(pieces, layer_weights, slope=slope)
+            stack = LayerStack(pieces, layer_weights, slope=slope)
         x = rng.normal(size=(n, dims[0]))
         deep = forward(stack, x)[-1]
         _, mapped = linearized_map(stack, vec(x))

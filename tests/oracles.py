@@ -16,7 +16,9 @@ decompositions that degnn.decompose's index arrays replaced. adjacency and
 connected_components_dfs are the dense adjacency and the depth-first
 search that degnn.graphs' edge arrays and union-find replaced, and
 induced_subgraph_reference the neighbor-dict walk that its array selection
-replaced; neighbor_dicts rebuilds the per-node dicts that Graph dropped,
+replaced. piece_matrices_reference is the dense masking that
+degnn.decompose.piece_matrices replaced with a scatter of the trainer's
+entries; neighbor_dicts rebuilds the per-node dicts that Graph dropped,
 for both. piece_graph and edge_union read a decomposition back as Graphs
 and pair sets.
 
@@ -188,6 +190,31 @@ def adjacency(g):
         a[i, j] = w
         a[j, i] = w
     return a
+
+
+def piece_matrices_reference(g, d, discount=False):
+    """degnn.decompose.piece_matrices as a dense construction.
+
+    The normalized matrix is formed densely, row scale first; each piece
+    takes its diagonal and, for every edge (i, j) of the piece with i < j,
+    the entry at (i, j), mirrored to (j, i). discount divides the diagonal
+    and the skeleton edges by k.
+    """
+    from degnn.graphs import self_looped_degrees
+
+    inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
+    base = (adjacency(g) + np.eye(g.n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
+    scale = d.k if discount else 1
+    skeleton = {(i, j) for (i, j, _) in d.triples(d.skeleton)}
+    out = []
+    for piece in d.pieces:
+        m = np.zeros_like(base)
+        np.fill_diagonal(m, np.diag(base) / scale)
+        for i, j, _ in d.triples(piece):
+            v = base[i, j]
+            m[i, j] = m[j, i] = v / scale if (i, j) in skeleton else v
+        out.append(m)
+    return out
 
 
 def neighbor_dicts(g):
@@ -610,17 +637,8 @@ def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
     per_layer = stack.regime().bound_per_layer
     want = set(depths)
     rows = []
-    products = None
     layers = _realized_layers(stack.prefix(depths[-1]), inputs)
-    for li, (m, masks, outputs) in enumerate(layers, start=1):
-        if products is None or products.shape[1] != m.shape[0]:
-            nxt = np.empty((n_samples, m.shape[0], inputs.shape[1]))
-        else:
-            nxt = products
-        for s, mask in enumerate(masks):
-            layer_mat = mask[:, None] * m
-            nxt[s] = layer_mat if products is None else layer_mat @ products[s]
-        products = nxt
+    for li, (products, outputs) in enumerate(layers, start=1):
         if li not in want:
             continue
         sigma = np.array(svd_each(products, compute_uv=False))

@@ -19,10 +19,10 @@ from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import vec
 from degnn.partition import cut_weight, multilevel_partition
 from degnn.propagate import (
+    LayerStack,
     decay_curve,
     forward,
     gcn_stack,
-    graphcnn_stack,
     linearized_map,
     quantized_entropy,
     random_unit_features,
@@ -95,7 +95,7 @@ def test_01_exact_linearization():
                 [rng.normal(size=(dims[i], dims[i + 1])) for _ in range(k)]
                 for i in range(depth)
             ]
-            stack = graphcnn_stack(pieces, layer_weights, slope=slope)
+            stack = LayerStack(pieces, layer_weights, slope=slope)
         x = rng.normal(size=(n, dims[0]))
         deep = forward(stack, x)[-1]
         _, mapped = linearized_map(stack, vec(x))

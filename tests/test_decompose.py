@@ -24,6 +24,7 @@ from oracles import (
     edge_union,
     merged_graph,
     piece_graph,
+    piece_matrices_reference,
     random_decompose_reference,
 )
 
@@ -371,6 +372,36 @@ def test_piece_matrices_global_discount_sums_to_whole():
     # without discount the shared entries are replicated, so the sum drifts
     plain = piece_matrices(g, d, discount=False)
     assert np.max(np.abs(sum(plain) - want)) > 1e-6
+
+
+def test_piece_matrices_match_dense_reference():
+    """The scattered trainer entries are the bits of the dense masking."""
+    cases = 0
+    for g, p in _reference_graphs():
+        if g.n > 300:
+            continue
+        for k in (1, 3):
+            decs = [random_decompose(g, k, seed=5)] + [
+                connectivity_aware_decompose(g, p, k, seed=5,
+                                             with_skeleton=with_skeleton)
+                for with_skeleton in (True, False)]
+            for d in decs:
+                for discount in (False, True):
+                    got = piece_matrices(g, d, discount=discount)
+                    want = piece_matrices_reference(g, d, discount=discount)
+                    assert len(got) == k
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+                        assert np.array_equal(a, a.T)
+                    cases += 1
+    assert cases == 144
+
+
+def test_piece_matrices_reject_a_decomposition_of_other_edges():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for other in (Graph(4, [(0, 2), (0, 3), (1, 3)]), Graph(5, g.edge_list())):
+        with pytest.raises(DomainError, match="not of this graph's edges"):
+            piece_matrices(g, random_decompose(other, 1, seed=0))
 
 
 def test_layer_decompositions_independent_per_layer():

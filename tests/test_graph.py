@@ -198,13 +198,16 @@ def test_connected_components_match_dfs_oracle():
 
 
 def test_normalized_adjacency_matches_dense_formula():
-    """Bits equal the dense (A + I) * d^-1/2 (rows) * d^-1/2 (columns)."""
+    """Bits equal the upper triangle of the dense (A + I) * d^-1/2 (rows)
+    * d^-1/2 (columns), mirrored, so the matrix is exactly symmetric."""
     rng = np.random.default_rng(19)
     for g in _random_graphs(rng, 150, weighted=True):
         inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
-        want = ((adjacency(g) + np.eye(g.n)) * inv_sqrt[:, None]
-                * inv_sqrt[None, :])
-        assert np.array_equal(normalized_adjacency(g), want)
+        upper = np.triu((adjacency(g) + np.eye(g.n)) * inv_sqrt[:, None]
+                        * inv_sqrt[None, :])
+        a = normalized_adjacency(g)
+        assert np.array_equal(a, upper + np.triu(upper, 1).T)
+        assert np.array_equal(a, a.T)
 
 
 def test_induced_subgraph_keeps_weights():

@@ -9,10 +9,10 @@ from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import kron, vec
 from degnn.propagate import (
     DECAY_COLUMNS,
+    LayerStack,
     decay_curve,
     forward,
     gcn_stack,
-    graphcnn_stack,
     linearized_map,
     prelu,
     quantized_entropy,
@@ -21,7 +21,7 @@ from degnn.propagate import (
     write_decay_csv,
 )
 from degnn.propagate import _batches
-from degnn.spectral import svd
+from degnn.spectral import gcn_regime, graphcnn_regime, svd
 from oracles import (
     decay_curve_per_depth,
     endtoend_extremes,
@@ -47,7 +47,7 @@ def _random_graphcnn_stack(rng, slope=0.2):
     layer_weights = [
         [rng.normal(size=(d, d)) for _ in range(k)] for _ in range(depth)
     ]
-    return graphcnn_stack(pieces, layer_weights, slope=slope)
+    return LayerStack(pieces, layer_weights, slope=slope)
 
 
 def test_prelu_values():
@@ -98,6 +98,56 @@ def test_forward_shape_errors():
         gcn_stack(np.eye(3), [np.ones((2, 3)), np.ones((2, 2))])
     with pytest.raises(DomainError):
         gcn_stack(np.eye(3), [np.eye(2)], slope=0.0)
+
+
+@pytest.mark.parametrize("pieces, layer_weights, slope, match", [
+    ([np.eye(3)], [], 0.2, "at least one layer"),
+    ([], [[]], 0.2, "at least one piece"),
+    ([np.eye(3)], [[np.eye(2)]], 0.0, "slope"),
+    ([np.eye(3)], [[np.eye(2)]], 1.5, "slope"),
+    ([np.ones((3, 2))], [[np.eye(2)]], 0.2, "square"),
+    ([np.eye(3), np.eye(4)], [[np.eye(2)] * 2], 0.2, "same size"),
+    ([np.eye(3)] * 2, [[np.eye(2)]], 0.2, "1 weight matrices for 2 pieces"),
+    ([np.eye(3)] * 2, [[np.eye(2), np.ones((2, 3))]], 0.2, "disagree"),
+    ([np.eye(3)], [[np.ones((2, 3))], [np.eye(2)]], 0.2,
+     "expects 2 input columns, previous layer emits 3"),
+    ([np.full((3, 3), np.nan)], [[np.eye(2)]], 0.2, "piece contains"),
+    ([np.eye(3)], [[np.ones((2, 2, 2))]], 0.2, "weight must be 2-D"),
+    ([np.eye(3)], [[np.ones((0, 2))]], 0.2, "weight must have positive"),
+])
+def test_layer_stack_rejects_bad_stacks(pieces, layer_weights, slope, match):
+    with pytest.raises(DomainError, match=match):
+        LayerStack(pieces, layer_weights, slope)
+
+
+def test_layer_stack_stores_validated_tuples():
+    stack = LayerStack([[[1, 0], [0, 1]]], [[[[2, 0], [0, 2]]]] * 3)
+    assert stack.slope == 0.2
+    assert isinstance(stack.pieces, tuple) and len(stack.pieces) == 1
+    assert stack.pieces[0].dtype == np.float64
+    assert isinstance(stack.layer_weights, tuple)
+    assert all(isinstance(layer, tuple) for layer in stack.layer_weights)
+    assert (stack.n, stack.in_dim, stack.depth) == (2, 2, 3)
+    assert stack.prefix(2).layer_weights == stack.layer_weights[:2]
+
+
+def test_layer_stack_regime_follows_the_piece_count():
+    """One piece gets gcn_regime's report, several graphcnn_regime's."""
+    rng = np.random.default_rng(41)
+    for trial in range(12):
+        n, d, depth = 4, 2, 3
+        k = 1 + trial % 3
+        slope = float(rng.uniform(0.1, 0.9))
+        pieces = [rng.normal(size=(n, n)) / (1 + trial % 4)
+                  for _ in range(k)]
+        layers = [[rng.normal(size=(d, d)) for _ in range(k)]
+                  for _ in range(depth)]
+        got = LayerStack(pieces, layers, slope).regime()
+        if k == 1:
+            want = gcn_regime(pieces[0], [w for (w,) in layers], slope=slope)
+        else:
+            want = graphcnn_regime(pieces, layers, slope=slope)
+        assert got == want
 
 
 def test_linearized_matches_forward_gcn_and_graphcnn():
@@ -232,7 +282,7 @@ def test_decay_curve_bound_column_exact():
 
 def test_decay_curve_matches_per_sample_maps_across_widths():
     # feature widths 2 -> 3 -> 3 -> 1: decay_curve's product stack grows,
-    # is updated in place, then shrinks; every depth must report the
+    # keeps its shape, then shrinks; every depth must report the
     # extremes of the per-sample end-to-end maps
     rng = np.random.default_rng(21)
     weights = [rng.normal(size=shape) for shape in ((2, 3), (3, 3), (3, 1))]
@@ -257,7 +307,7 @@ def test_decay_curve_matches_one_svd_per_depth():
                               [rng.normal(size=w) for w in widths])
         else:
             pieces = [rng.normal(size=(5, 5)) for _ in range(2)]
-            stack = graphcnn_stack(
+            stack = LayerStack(
                 pieces, [[rng.normal(size=w) for _ in pieces] for w in widths])
         for depths in ([1, 2, 3, 4, 5, 6], [2, 3, 5], [6]):
             got = decay_curve(stack, depths, n_samples=4, seed=5)
@@ -330,7 +380,7 @@ def test_decay_curve_checks_the_svd_cap_before_any_work(monkeypatch):
         decay_curve(plain, [1, 2, 3], n_samples=2)
     # depth 1 is (30, 60) and fits; depth 2 is (60, 60) and does not
     pieces = [rng.normal(size=(30, 30)) for _ in range(2)]
-    decomposed = graphcnn_stack(pieces, [
+    decomposed = LayerStack(pieces, [
         [rng.normal(size=(2, 1)) for _ in pieces],
         [rng.normal(size=(1, 2)) for _ in pieces],
     ])

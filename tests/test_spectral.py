@@ -254,9 +254,9 @@ def test_sigma_each_groups_by_shape_in_input_order(monkeypatch):
     calls = []
     inner = spectral._jacobi
 
-    def counting(a, with_v):
+    def counting(a, with_v, names):
         calls.append((np.shape(a[0]), len(a), with_v))
-        return inner(a, with_v)
+        return inner(a, with_v, names)
 
     monkeypatch.setattr(spectral, "_jacobi", counting)
     got = svd_each(mats, compute_uv=False)
@@ -294,9 +294,9 @@ def test_svd_each_factors_match_svd(monkeypatch):
     calls = []
     inner = spectral._jacobi
 
-    def counting(a, with_v):
+    def counting(a, with_v, names):
         calls.append((np.shape(a[0]), len(a), with_v))
-        return inner(a, with_v)
+        return inner(a, with_v, names)
 
     monkeypatch.setattr(spectral, "_jacobi", counting)
     got = svd_each(mats)
@@ -368,6 +368,20 @@ def test_svd_sweeps_at_most_max_sweeps(monkeypatch):
     with pytest.raises(NumericError, match="in 2 sweeps"):
         svd_each(np.stack([np.eye(8), m]), compute_uv=False)
     assert len(sweeps) == 2
+
+
+def test_svd_each_names_the_failing_matrix_by_its_input_index(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 2)
+    m = np.random.default_rng(3).normal(size=(8, 8))
+    # the failing matrix is second in its shape batch, third in the input
+    with pytest.raises(NumericError, match=r"in 2 sweeps \(mats\[2\]\)"):
+        svd_each([np.eye(3), np.eye(8), m], compute_uv=False)
+    # alone in its shape batch, it is still named
+    with pytest.raises(NumericError, match=r"in 2 sweeps \(mats\[0\]\)"):
+        svd_each([m, np.eye(3)])
+    # a single matrix needs no name
+    with pytest.raises(NumericError, match=r"in 2 sweeps \(gram"):
+        svd_each([m])
 
 
 def test_svd_stack_rejects_bad_input():

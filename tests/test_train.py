@@ -10,12 +10,17 @@ import degnn.decompose
 import degnn.train
 from degnn.decompose import layer_decompositions, piece_matrices
 from degnn.errors import DomainError, ParseError, TrainingError
-from degnn.graphs import connected_components, normalized_adjacency
+from degnn.graphs import (
+    connected_components,
+    normalized_adjacency,
+    piece_entries,
+)
 from degnn.train import (
     DEPTHSWEEP_COLUMNS,
     HISTORY_COLUMNS,
     KSWEEP_COLUMNS,
     ModelConfig,
+    PieceOperator,
     SBMSpec,
     TrainResult,
     build_model,
@@ -470,23 +475,24 @@ def test_operators_of_one_width_share_row_keys(monkeypatch, source):
 
 def test_piece_operator_rejects_row_keys_of_other_rows():
     """An operator whose edges are not the graph's refuses the shared keys."""
-    from degnn.train import _piece_operator
-
     g = _MIXED.graph
     ops, _ = build_model(_cfg(), _MIXED)
     row_keys, width = ops[-1].row_keys, ops[-1].buf.shape[1]
     buf = np.empty(len(row_keys))
     every = np.arange(g.m)
-    none = every[:0]
+
+    def one_piece(edges):
+        entries = piece_entries(g, 1, every[:0], [edges])
+        return PieceOperator(g.n, 1, *entries, width, buf, row_keys)
+
     # the graph's own edges are accepted
-    _piece_operator(g, 1, none, [every], False, width, buf, row_keys)
+    one_piece(every)
     # edge 0 taken twice and edge 1 left out: as many entries, other rows
     twice = every.copy()
     twice[1] = 0
     for residual in (every[1:], twice):
         with pytest.raises(DomainError, match="row keys"):
-            _piece_operator(g, 1, none, [residual], False, width, buf,
-                            row_keys)
+            one_piece(residual)
 
 
 def test_k_sweep_rows_and_aggregates():

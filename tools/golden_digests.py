@@ -14,9 +14,9 @@ Two trees whose outputs are byte-identical print identical lines, so
     diff <(python3 tools/golden_digests.py A) <(python3 tools/golden_digests.py B)
 
 is the byte-identity check. The set covers decay (also at two depths with
-unrequested layers between them), verify (also at a trial count that the
-suites run in several blocks), train for every backbone
-(vanilla and random-decomposed) and from a --config file, partition,
+unrequested layers between them, and on a weighted graph), verify (also at
+a trial count that the suites run in several blocks), train for every
+backbone (vanilla and random-decomposed) and from a --config file, partition,
 connectivity-aware decompose, and the k and depth sweeps with both the random
 and the connectivity-aware decomposition. It takes a few minutes on two
 cores.
@@ -33,14 +33,20 @@ from pathlib import Path
 BACKBONES = ("gcn", "res", "dense", "jk")
 
 
-def _cycle_graph(path):
-    """A 40-cycle plus 80 distinct random chords: 40 nodes, 120 edges."""
+def _cycle_graph(path, weighted=False):
+    """A 40-cycle plus 80 distinct random chords: 40 nodes, 120 edges.
+
+    weighted gives each edge a seeded weight drawn from U(0.5, 3).
+    """
     rng = random.Random(2024)
     edges = {(i, i + 1) for i in range(39)} | {(0, 39)}
     while len(edges) < 120:
         i, j = sorted(rng.sample(range(40), 2))
         edges.add((i, j))
-    path.write_text("".join(f"{i} {j}\n" for i, j in sorted(edges)))
+    weights = random.Random(2025)
+    path.write_text("".join(
+        f"{i} {j} {weights.uniform(0.5, 3.0)!r}\n" if weighted
+        else f"{i} {j}\n" for i, j in sorted(edges)))
 
 
 def _planted_graph(path, n=600, blocks=6):
@@ -61,8 +67,10 @@ def _planted_graph(path, n=600, blocks=6):
 def commands(work):
     """(name, argv) for every command of the golden set."""
     cycle = work / "cycle_edges.txt"
+    weighted = work / "weighted_cycle_edges.txt"
     planted = work / "planted_edges.txt"
     _cycle_graph(cycle)
+    _cycle_graph(weighted, weighted=True)
     _planted_graph(planted)
     cmds = [
         ("decay", ["decay", "--edges", str(cycle), "--depths", "1..6",
@@ -70,6 +78,9 @@ def commands(work):
         # a held depth waits across layers that were not requested
         ("decay_gaps", ["decay", "--edges", str(cycle), "--depths", "2,5",
                         "--samples", "4", "--dim", "3"]),
+        # weighted edges, whose normalization the other decays do not reach
+        ("decay_weighted", ["decay", "--edges", str(weighted), "--depths",
+                            "1..6", "--samples", "4", "--dim", "3"]),
         ("verify", ["verify", "--trials", "40"]),
         # more trials than one batch of the verify suites holds
         ("verify_blocks", ["verify", "--trials", "300", "--seed", "11"]),
