@@ -5,8 +5,8 @@ Library map:
     linalg      dense-matrix utilities (validation, vec, kron)
     partition   deterministic multilevel k-way partitioner
     decompose   edge decompositions: random, connectivity-aware, spectral
-    spectral    one-sided Jacobi svd, regime certificates, closed-form spectra
-    propagate   layer stacks, exact linearization, quantized-entropy curves
+    spectral    one-sided Jacobi svd, closed-form Kronecker-sum spectra
+    propagate   layer stacks, regime certificates, linearization, entropy
     train       synthetic node-classification lab with manual gradients
     verify      randomized self-checks for the linear-map identities
     cli         `degnn` command line

@@ -231,10 +231,15 @@ def _split(a, groups, res):
     )
 
 
+def _check_of_graph(g, d):
+    """Raise DomainError unless d decomposes g's own edges."""
+    if d.n != g.n or not all(map(np.array_equal, d.edges, g.edge_arrays())):
+        raise DomainError("decomposition is not of this graph's edges")
+
+
 def decomposition_stats(g, d):
     """Size and connectivity summary of a decomposition of g."""
-    if d.n != g.n:
-        raise DomainError("decomposition is over a different node set")
+    _check_of_graph(g, d)
     piece_edges = [len(piece) for piece in d.pieces]
     # a piece has n components less one per edge of its spanning forest
     lo, hi, _ = d.edges
@@ -271,8 +276,7 @@ def piece_matrices(g, d, discount=False):
     diagonal) by k in every piece so the pieces sum to the whole-graph
     matrix again.
     """
-    if d.n != g.n or not all(map(np.array_equal, d.edges, g.edge_arrays())):
-        raise DomainError("decomposition is not of this graph's edges")
+    _check_of_graph(g, d)
     rows, cols, slots, vals = piece_entries(g, d.k, d.skeleton, residuals(d),
                                             discount)
     out = []
@@ -340,7 +344,8 @@ def load_decomposition(dir_path):
     with the file and line, on metadata without a positive integer n and k
     or a string source, and on an edge line that is not "i j w" with integer
     ids 0 <= i < j < n and a finite weight w > 0, or that gives an edge a
-    second weight.
+    second weight; and, with the piece file, on a piece that lacks an edge
+    of the skeleton.
     """
     meta_path = os.path.join(dir_path, "meta.json")
     try:
@@ -385,9 +390,13 @@ def load_decomposition(dir_path):
                 pairs.append((i, j))
         return pairs
 
-    files = [slurp(os.path.join(dir_path, f"piece_{idx}.txt"))
-             for idx in range(k)]
+    paths = [os.path.join(dir_path, f"piece_{idx}.txt") for idx in range(k)]
+    files = [slurp(path) for path in paths]
     skeleton = slurp(os.path.join(dir_path, "skeleton.txt"))
+    for path, pairs in zip(paths, files):
+        lacking = set(skeleton).difference(pairs)
+        if lacking:
+            raise ParseError(f"lacks skeleton edge {min(lacking)}", path=path)
     order = sorted(weights)
     index = {pair: e for e, pair in enumerate(order)}
     edges = (np.array([i for i, _ in order], dtype=np.int64),

@@ -1,4 +1,4 @@
-"""Forward propagation, its exact linearization, and an entropy proxy.
+"""Layer stacks: their regime certificates, exact linearization, entropy.
 
 A stack propagates node features through L layers of Y -> sigma(sum_k
 A_k Y W_k) with a parametric ReLU. Because that activation multiplies each
@@ -8,23 +8,28 @@ premultiplied by a diagonal {slope, 1} mask read off the pre-activation
 signs. That product's singular extremes certify how much of the input
 survives the stack, and a quantization-based entropy of sampled outputs
 tracks the same story empirically.
+
+The regime certificates read a LayerStack and give one of three labels:
+  decay          per-layer contraction < 1, end-to-end map shrinks to zero
+  preserve       per-layer expansion >= 1 even through the activation floor,
+                 the end-to-end map stays injective
+  indeterminate  neither certificate applies
+For the decomposed propagation rule the per-layer operator is the explicit
+Kronecker sum M_i = sum_k (W_k^T kron A_k) (LayerStack.layer_operator):
+its largest singular value upper bounds the masked layer and
+`slope * smallest` lower bounds it, because the activation mask is diagonal
+with entries in {slope, 1}.
 """
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import as_matrix, as_vector, vec
-from .spectral import (
-    check_svd_side,
-    composite_operator,
-    gcn_regime,
-    graphcnn_regime,
-    singular_extremes,
-    svd_each,
-)
+from .linalg import as_matrix, as_vector, kron, vec
+from .spectral import check_svd_side, singular_extremes, svd_each
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +99,115 @@ class LayerStack:
             raise DomainError(f"depth must lie in [1, {self.depth}]")
         return LayerStack(self.pieces, self.layer_weights[:depth], self.slope)
 
+    def layer_operator(self, i):
+        """Layer i's operator sum_k (W_k^T kron A_k), summed in piece order."""
+        return reduce(np.add, (kron(w.T, a) for a, w in
+                               zip(self.pieces, self.layer_weights[i])))
+
     def regime(self):
         """gcn_regime's report for one piece, graphcnn_regime's for several."""
-        if len(self.pieces) == 1:
-            return gcn_regime(
-                self.pieces[0],
-                [layer[0] for layer in self.layer_weights],
-                slope=self.slope,
-            )
-        return graphcnn_regime(self.pieces, self.layer_weights, slope=self.slope)
+        return (gcn_regime if len(self.pieces) == 1 else graphcnn_regime)(self)
 
 
 def gcn_stack(a_mat, weights, slope=0.2):
     """One-piece LayerStack: propagation matrix a_mat, one weight per layer."""
     return LayerStack((a_mat,), tuple((w,) for w in weights), slope)
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Certificate inputs and the resulting regime label.
+
+    For the plain propagation rule sigma_a/gamma_a are the adjacency
+    extremes and sigma_w/gamma_w the sup/inf of weight extremes over layers.
+    For the decomposed rule the weight factors fold into the per-layer
+    operator, so sigma_a/gamma_a carry that operator's extremes
+    (sup over layers for sigma_a, inf for gamma_a) and sigma_w = gamma_w = 1.
+    Either way the classification reads:
+        decay        iff sigma_a * sigma_w < 1
+        preserve     iff slope * gamma_a * gamma_w >= 1
+        indeterminate otherwise
+    (the two certificates are mutually exclusive because slope < 1 and
+    gamma <= sigma on each factor). bound_per_layer is the geometric factor
+    the certificate propagates: sigma_a * sigma_w in the decay and
+    indeterminate cases, slope * gamma_a * gamma_w under preserve.
+    """
+
+    sigma_a: float
+    gamma_a: float
+    sigma_w: float
+    gamma_w: float
+    slope: float
+    regime: str
+    bound_per_layer: float
+
+
+def _check_slope(slope):
+    slope = float(slope)
+    if not (0.0 < slope < 1.0):
+        raise DomainError(f"activation slope must lie in (0, 1), got {slope}")
+    return slope
+
+
+def _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope):
+    if sigma_a * sigma_w < 1.0:
+        regime = "decay"
+        bound = sigma_a * sigma_w
+    elif slope * gamma_a * gamma_w >= 1.0:
+        regime = "preserve"
+        bound = slope * gamma_a * gamma_w
+    else:
+        regime = "indeterminate"
+        bound = sigma_a * sigma_w
+    return RegimeReport(
+        sigma_a=float(sigma_a),
+        gamma_a=float(gamma_a),
+        sigma_w=float(sigma_w),
+        gamma_w=float(gamma_w),
+        slope=slope,
+        regime=regime,
+        bound_per_layer=float(bound),
+    )
+
+
+def gcn_regime(stack):
+    """Classify a one-piece stack from its factor spectra.
+
+    The piece is the (already normalized, if desired) propagation matrix A,
+    and each layer holds one weight matrix W. The per-layer linear map is
+    the masked (W^T kron A), whose singular values are bounded by the
+    products of the factor extremes. Raises DomainError on a stack of
+    several pieces, or of slope 1.
+    """
+    slope = _check_slope(stack.slope)
+    if len(stack.pieces) != 1:
+        raise DomainError(
+            f"gcn_regime takes one piece, got {len(stack.pieces)}")
+    s_a, *s_w = svd_each([*stack.pieces, *(w for (w,) in stack.layer_weights)],
+                         compute_uv=False)
+    sigma_w = max(float(s[0]) for s in s_w)
+    gamma_w = min(float(s[-1]) for s in s_w)
+    return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w, slope)
+
+
+def graphcnn_regime(stack):
+    """Classify a stack of any piece count by its per-layer operators.
+
+    Builds M_i = stack.layer_operator(i) for every layer and classifies on
+    sup_i sigma(M_i) and inf_i gamma(M_i); the diagonal activation mask can
+    only scale singular values by a factor in [slope, 1], which is what the
+    classification rule accounts for. Every M_i's shape is checked against
+    svd's size cap before any is formed. Raises DomainError on slope 1.
+    """
+    slope = _check_slope(stack.slope)
+    for layer in stack.layer_weights:
+        d_in, d_out = layer[0].shape
+        check_svd_side((d_out * stack.n, d_in * stack.n))
+    sigmas = svd_each([stack.layer_operator(i) for i in range(stack.depth)],
+                      compute_uv=False)
+    sup_sigma = max(float(s[0]) for s in sigmas)
+    inf_gamma = min(float(s[-1]) for s in sigmas)
+    return _classify(sup_sigma, inf_gamma, 1.0, 1.0, slope)
 
 
 def prelu(z, slope):
@@ -141,7 +241,8 @@ def _realized_layers(stack, inputs):
     """Per layer: (products, outputs) realized on vectorized inputs.
 
     inputs holds one vectorized input per row, validated here. The layer's
-    composite operator is built once and shared by every row; row s's mask
+    operator (LayerStack.layer_operator) is built once and shared by every
+    row; row s's mask
     is the {slope, 1} diagonal read off the signs of its pre-activation
     (entry >= 0 maps to 1). Row s of outputs is that mask times the
     pre-activation, and products[s], in a fresh array per layer, is the
@@ -154,8 +255,8 @@ def _realized_layers(stack, inputs):
             f"got {ys.shape[1]}"
         )
     products = None
-    for layer in stack.layer_weights:
-        m = composite_operator(stack.pieces, layer)
+    for i in range(stack.depth):
+        m = stack.layer_operator(i)
         z = np.array([m @ y for y in ys])
         masks = np.where(z >= 0.0, 1.0, stack.slope)
         nxt = np.empty((len(ys), m.shape[0], stack.n * stack.in_dim))

@@ -1,20 +1,10 @@
-"""Singular value machinery and information-flow regime certificates.
+"""Singular value machinery: the Jacobi SVD and closed-form Kronecker spectra.
 
 svd() is a one-sided Jacobi implementation and svd_each() the same for many
 matrices at once (the sweeps live in degnn._kernels). numpy's own
 factorizations are deliberately not used here: the verification suite
 cross-checks this routine against an independent characteristic-polynomial
 oracle, so the certified path must be this code and nothing else.
-
-The regime classifiers turn singular-value extremes into one of three labels:
-  decay          per-layer contraction < 1, end-to-end map shrinks to zero
-  preserve       per-layer expansion >= 1 even through the activation floor,
-                 the end-to-end map stays injective
-  indeterminate  neither certificate applies
-For the decomposed propagation rule the per-layer operator is the explicit
-Kronecker sum M_i = sum_k (W_k^T kron A_k); its largest singular value upper
-bounds the masked layer and `slope * smallest` lower bounds it, because the
-activation mask is diagonal with entries in {slope, 1}.
 """
 
 from dataclasses import dataclass
@@ -23,7 +13,7 @@ import numpy as np
 
 from degnn import _kernels
 from degnn.errors import DomainError, NumericError
-from degnn.linalg import as_matrix, kron
+from degnn.linalg import as_matrix
 
 MAX_SVD_SIDE = 2048
 MAX_SWEEPS = 60
@@ -144,10 +134,11 @@ def _scaled_working(a, out):
     a is first scaled by the power of two that brings max |a| into
     [0.5, 1). That is exact, so the Frobenius norm can neither underflow
     nor overflow, and where the squares of the entries stay in range the
-    results are the same bits as without it.
+    results are the same bits as without it. The scaled copy is C-ordered,
+    so the squares are summed in one order whatever a's memory layout.
     """
     exponent = int(np.frexp(np.abs(a).max())[1])
-    a = np.ldexp(a, -exponent)
+    a = np.ldexp(a, -exponent, order="C")
     fro = float(np.sqrt((a * a).sum()))
     scale = fro if fro > 0.0 else 1.0
     work = a.T if a.shape[0] < a.shape[1] else a
@@ -347,128 +338,6 @@ def singular_extremes(m):
     """(largest, smallest) singular value of m."""
     s = svd(m, compute_uv=False)
     return float(s[0]), float(s[-1])
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Certificate inputs and the resulting regime label.
-
-    For the plain propagation rule sigma_a/gamma_a are the adjacency
-    extremes and sigma_w/gamma_w the sup/inf of weight extremes over layers.
-    For the decomposed rule the weight factors fold into the per-layer
-    composite operator, so sigma_a/gamma_a carry that operator's extremes
-    (sup over layers for sigma_a, inf for gamma_a) and sigma_w = gamma_w = 1.
-    Either way the classification reads:
-        decay        iff sigma_a * sigma_w < 1
-        preserve     iff slope * gamma_a * gamma_w >= 1
-        indeterminate otherwise
-    (the two certificates are mutually exclusive because slope < 1 and
-    gamma <= sigma on each factor). bound_per_layer is the geometric factor
-    the certificate propagates: sigma_a * sigma_w in the decay and
-    indeterminate cases, slope * gamma_a * gamma_w under preserve.
-    """
-
-    sigma_a: float
-    gamma_a: float
-    sigma_w: float
-    gamma_w: float
-    slope: float
-    regime: str
-    bound_per_layer: float
-
-
-def _check_slope(slope):
-    slope = float(slope)
-    if not (0.0 < slope < 1.0):
-        raise DomainError(f"activation slope must lie in (0, 1), got {slope}")
-    return slope
-
-
-def _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope):
-    if sigma_a * sigma_w < 1.0:
-        regime = "decay"
-        bound = sigma_a * sigma_w
-    elif slope * gamma_a * gamma_w >= 1.0:
-        regime = "preserve"
-        bound = slope * gamma_a * gamma_w
-    else:
-        regime = "indeterminate"
-        bound = sigma_a * sigma_w
-    return RegimeReport(
-        sigma_a=float(sigma_a),
-        gamma_a=float(gamma_a),
-        sigma_w=float(sigma_w),
-        gamma_w=float(gamma_w),
-        slope=slope,
-        regime=regime,
-        bound_per_layer=float(bound),
-    )
-
-
-def gcn_regime(a_mat, weights, slope=0.2):
-    """Classify a plain propagation stack from its factor spectra.
-
-    a_mat is the (already normalized, if desired) propagation matrix;
-    weights is the per-layer list of weight matrices. The per-layer linear
-    map is the masked (W^T kron A), whose singular values are bounded by
-    the products of the factor extremes.
-    """
-    slope = _check_slope(slope)
-    a_mat = as_matrix(a_mat, "a_mat")
-    if a_mat.shape[0] != a_mat.shape[1]:
-        raise DomainError("propagation matrix must be square")
-    if not weights:
-        raise DomainError("need at least one weight matrix")
-    weights = [as_matrix(w, "weight") for w in weights]
-    s_a, *s_w = svd_each([a_mat, *weights], compute_uv=False)
-    sigma_w = max(float(s[0]) for s in s_w)
-    gamma_w = min(float(s[-1]) for s in s_w)
-    return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w, slope)
-
-
-def composite_operator(pieces, piece_weights):
-    """Explicit per-layer operator sum_k (W_k^T kron A_k) of a decomposed layer."""
-    if len(pieces) != len(piece_weights):
-        raise DomainError(
-            f"{len(pieces)} pieces but {len(piece_weights)} weight matrices"
-        )
-    total = None
-    for a_k, w_k in zip(pieces, piece_weights):
-        a_k = as_matrix(a_k, "piece")
-        w_k = as_matrix(w_k, "piece weight")
-        term = kron(w_k.T, a_k)
-        total = term if total is None else total + term
-    return total
-
-
-def graphcnn_regime(pieces, layer_weights, slope=0.2):
-    """Classify a decomposed stack by its per-layer composite operators.
-
-    pieces: list of n x n piece matrices A_k (shared across layers).
-    layer_weights: one list of per-piece weight matrices per layer.
-    Builds M_i = sum_k (W_k^T kron A_k) explicitly for every layer and
-    classifies on sup_i sigma(M_i) and inf_i gamma(M_i); the diagonal
-    activation mask can only scale singular values by a factor in
-    [slope, 1], which is what the classification rule accounts for.
-    """
-    slope = _check_slope(slope)
-    if not pieces:
-        raise DomainError("need at least one piece matrix")
-    if not layer_weights:
-        raise DomainError("need at least one layer of weights")
-    n, cols = as_matrix(pieces[0], "piece").shape
-    if n != cols:
-        raise DomainError("piece matrices must be square")
-    # each M_i's shape against svd's cap, before any M_i is formed
-    for wk in layer_weights:
-        if len(wk):
-            d_in, d_out = as_matrix(wk[0], "piece weight").shape
-            check_svd_side((d_out * n, d_in * n))
-    sigmas = svd_each([composite_operator(pieces, wk)
-                       for wk in layer_weights], compute_uv=False)
-    sup_sigma = max(float(s[0]) for s in sigmas)
-    inf_gamma = min(float(s[-1]) for s in sigmas)
-    return _classify(sup_sigma, inf_gamma, 1.0, 1.0, slope)
 
 
 def kron_sum_spectrum(split, w_pieces):

@@ -14,8 +14,9 @@ import numpy as np
 from .decompose import spectral_splits
 from .errors import DomainError
 from .linalg import kron, vec
-from .propagate import LayerStack, forward, gcn_stack, linearized_map
-from .spectral import gcn_regime, graphcnn_regime, kron_sum_spectrum, svd_each
+from .propagate import (LayerStack, forward, gcn_stack, graphcnn_regime,
+                        linearized_map)
+from .spectral import kron_sum_spectrum, svd_each
 
 # trials a batched suite draws, factors and scores at a time, so its memory
 # does not grow with the trial count; the rng stream runs on from block to
@@ -232,9 +233,9 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
 
     Each block of TRIAL_BLOCK trials is drawn first. Then kind 0's
     pre-scale spectra are one SVD batch per shape and kind 2's splits one
-    spectral_splits batch; gcn_regime or graphcnn_regime classifies each
-    trial, and the realized end-to-end maps' spectra are again one SVD
-    batch per shape.
+    spectral_splits batch. Each trial's stack is built once and certified,
+    kinds 0 and 1 by regime() and kind 2 by graphcnn_regime; the realized
+    end-to-end maps' spectra are again one SVD batch per shape.
     """
     trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
@@ -263,12 +264,11 @@ def check_regimes(trials=100, seed=0, tol=1e-9):
         maps = []
         for tr in drawn:
             if tr["kind"] == 2:
-                reports.append(graphcnn_regime(tr["pieces"], tr["weights"],
-                                               slope=tr["slope"]))
+                reports.append(graphcnn_regime(LayerStack(
+                    tr["pieces"], tr["weights"], tr["slope"])))
                 continue
-            reports.append(gcn_regime(tr["a_mat"], tr["weights"],
-                                      slope=tr["slope"]))
             stack = gcn_stack(tr["a_mat"], tr["weights"], slope=tr["slope"])
+            reports.append(stack.regime())
             maps.append(linearized_map(stack, tr["x"])[0])
 
         realized = iter(svd_each(maps, compute_uv=False))

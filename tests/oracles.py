@@ -518,13 +518,13 @@ def _singular_extremes_full(m):
 
 
 def _regime_per_matrix(sigma_a, gamma_a, sigma_w, gamma_w, slope):
-    from degnn.spectral import _classify
+    from degnn.propagate import _classify
 
     return _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope)
 
 
 def gcn_regime_per_matrix(a_mat, weights, slope):
-    """degnn.spectral.gcn_regime with one full svd() per matrix."""
+    """degnn.propagate.gcn_regime with one full svd() per matrix."""
     sigma_a, gamma_a = _singular_extremes_full(a_mat)
     sigma_w = -np.inf
     gamma_w = np.inf
@@ -536,13 +536,14 @@ def gcn_regime_per_matrix(a_mat, weights, slope):
 
 
 def graphcnn_regime_per_matrix(pieces, layer_weights, slope):
-    """degnn.spectral.graphcnn_regime with one full svd() per layer."""
-    from degnn.spectral import composite_operator
+    """degnn.propagate.graphcnn_regime with one full svd() per layer."""
+    from degnn.propagate import LayerStack
 
+    stack = LayerStack(pieces, layer_weights, slope)
     sup_sigma = -np.inf
     inf_gamma = np.inf
-    for wk in layer_weights:
-        hi, lo = _singular_extremes_full(composite_operator(pieces, wk))
+    for i in range(stack.depth):
+        hi, lo = _singular_extremes_full(stack.layer_operator(i))
         sup_sigma = max(sup_sigma, hi)
         inf_gamma = min(inf_gamma, lo)
     return _regime_per_matrix(sup_sigma, inf_gamma, 1.0, 1.0, slope)

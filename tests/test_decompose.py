@@ -397,11 +397,29 @@ def test_piece_matrices_match_dense_reference():
     assert cases == 144
 
 
+def _decompositions_of_other_edges(g):
+    """Decompositions of graphs whose edges or node count differ from g's."""
+    other = Graph(4, [(0, 2), (0, 3), (1, 3)])
+    five = Graph(4, [*g.edge_list(), (0, 2), (1, 3)])
+    return [random_decompose(other, 1, seed=0),
+            random_decompose(other, 2, seed=0),
+            random_decompose(Graph(5, g.edge_list()), 1, seed=0),
+            random_decompose(five, 1, seed=0)]
+
+
 def test_piece_matrices_reject_a_decomposition_of_other_edges():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    for other in (Graph(4, [(0, 2), (0, 3), (1, 3)]), Graph(5, g.edge_list())):
+    for d in _decompositions_of_other_edges(g):
         with pytest.raises(DomainError, match="not of this graph's edges"):
-            piece_matrices(g, random_decompose(other, 1, seed=0))
+            piece_matrices(g, d)
+
+
+def test_stats_reject_a_decomposition_of_other_edges():
+    """Same node count is not enough: stats would count the other edges."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for d in _decompositions_of_other_edges(g):
+        with pytest.raises(DomainError, match="not of this graph's edges"):
+            decomposition_stats(g, d)
 
 
 def test_layer_decompositions_independent_per_layer():
@@ -447,6 +465,20 @@ def test_load_rejects_an_edge_with_two_weights(tmp_path):
     (out / "skeleton.txt").write_text("0 1 2.5\n")
     with pytest.raises(ParseError, match="two weights"):
         load_decomposition(out)
+
+
+def test_load_rejects_a_piece_that_lacks_a_skeleton_edge(tmp_path):
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+    out = tmp_path / "dec"
+    save_decomposition(connectivity_aware_decompose(g, 2, 2, seed=0), out)
+    assert "0 1 1.0" in (out / "skeleton.txt").read_text().splitlines()
+    piece = out / "piece_1.txt"
+    lines = piece.read_text().splitlines(keepends=True)
+    piece.write_text("".join(x for x in lines if x != "0 1 1.0\n"))
+    with pytest.raises(ParseError) as exc:
+        load_decomposition(out)
+    assert str(exc.value).startswith("lacks skeleton edge (0, 1) (")
+    assert exc.value.path == str(piece)
 
 
 def _stats_oracle(d):

@@ -12,7 +12,9 @@ from degnn.propagate import (
     LayerStack,
     decay_curve,
     forward,
+    gcn_regime,
     gcn_stack,
+    graphcnn_regime,
     linearized_map,
     prelu,
     quantized_entropy,
@@ -21,7 +23,7 @@ from degnn.propagate import (
     write_decay_csv,
 )
 from degnn.propagate import _batches
-from degnn.spectral import gcn_regime, graphcnn_regime, svd
+from degnn.spectral import svd
 from oracles import (
     decay_curve_per_depth,
     endtoend_extremes,
@@ -142,12 +144,9 @@ def test_layer_stack_regime_follows_the_piece_count():
                   for _ in range(k)]
         layers = [[rng.normal(size=(d, d)) for _ in range(k)]
                   for _ in range(depth)]
-        got = LayerStack(pieces, layers, slope).regime()
-        if k == 1:
-            want = gcn_regime(pieces[0], [w for (w,) in layers], slope=slope)
-        else:
-            want = graphcnn_regime(pieces, layers, slope=slope)
-        assert got == want
+        stack = LayerStack(pieces, layers, slope)
+        want = (gcn_regime if k == 1 else graphcnn_regime)(stack)
+        assert stack.regime() == want
 
 
 def test_linearized_matches_forward_gcn_and_graphcnn():
@@ -367,9 +366,8 @@ def test_decay_curve_checks_the_svd_cap_before_any_work(monkeypatch):
 
     inner_layers = propagate._realized_layers
     monkeypatch.setattr(propagate, "_realized_layers", layers)
-    for module in (propagate, spectral):
-        monkeypatch.setattr(module, "composite_operator", counted(
-            "operators", module.composite_operator))
+    monkeypatch.setattr(LayerStack, "layer_operator", counted(
+        "operators", LayerStack.layer_operator))
     monkeypatch.setattr(_kernels, "jacobi_sweep", counted(
         "sweeps", _kernels.jacobi_sweep))
     monkeypatch.setattr(spectral, "MAX_SVD_SIDE", 50)

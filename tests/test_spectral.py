@@ -5,14 +5,8 @@ from degnn import _kernels, spectral
 from degnn.errors import DomainError, NumericError
 from degnn.graphs import Graph, normalized_adjacency
 from degnn.linalg import kron
-from degnn.spectral import (
-    composite_operator,
-    gcn_regime,
-    graphcnn_regime,
-    singular_extremes,
-    svd,
-    svd_each,
-)
+from degnn.propagate import LayerStack, gcn_regime, gcn_stack, graphcnn_regime
+from degnn.spectral import singular_extremes, svd, svd_each
 from oracles import gram_state_single, singular_values_charpoly
 
 
@@ -103,7 +97,8 @@ def test_singular_extremes_order():
 
 
 def test_regime_decay():
-    rep = gcn_regime(0.9 * np.eye(3), [0.5 * np.eye(2), 0.8 * np.eye(2)])
+    rep = gcn_regime(gcn_stack(0.9 * np.eye(3),
+                               [0.5 * np.eye(2), 0.8 * np.eye(2)]))
     assert rep.regime == "decay"
     assert abs(rep.sigma_w - 0.8) < 1e-12
     assert abs(rep.gamma_w - 0.5) < 1e-12
@@ -112,13 +107,13 @@ def test_regime_decay():
 
 def test_regime_preserve():
     # slope * gamma_a * gamma_w = 0.6 * 2 * 1 = 1.2 >= 1
-    rep = gcn_regime(2.0 * np.eye(3), [np.eye(2)], slope=0.6)
+    rep = gcn_regime(gcn_stack(2.0 * np.eye(3), [np.eye(2)], slope=0.6))
     assert rep.regime == "preserve"
     assert abs(rep.bound_per_layer - 1.2) < 1e-12
 
 
 def test_regime_indeterminate():
-    rep = gcn_regime(np.eye(3), [np.eye(2)], slope=0.2)
+    rep = gcn_regime(gcn_stack(np.eye(3), [np.eye(2)], slope=0.2))
     assert rep.regime == "indeterminate"
 
 
@@ -130,7 +125,7 @@ def test_regime_normalized_adjacency_is_decay_with_contracting_weights():
     hi, lo = singular_extremes(a)
     assert abs(hi - 1.0) < 1e-12
     assert abs(lo - 1.0 / 6.0) < 1e-12
-    rep = gcn_regime(a, [0.5 * np.eye(4)])
+    rep = gcn_regime(gcn_stack(a, [0.5 * np.eye(4)]))
     assert rep.regime == "decay"
     assert abs(rep.bound_per_layer - 0.5) < 1e-10
 
@@ -138,17 +133,17 @@ def test_regime_normalized_adjacency_is_decay_with_contracting_weights():
 def test_regime_rejects_bad_slope():
     for slope in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(DomainError):
-            gcn_regime(np.eye(2), [np.eye(2)], slope=slope)
+            gcn_regime(gcn_stack(np.eye(2), [np.eye(2)], slope=slope))
 
 
-def test_composite_operator_matches_direct_sum():
+def test_layer_operator_matches_direct_sum():
     rng = np.random.default_rng(21)
     for _ in range(10):
         k = int(rng.integers(1, 4))
         n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         pieces = [rng.normal(size=(n, n)) for _ in range(k)]
         ws = [rng.normal(size=(d, d)) for _ in range(k)]
-        got = composite_operator(pieces, ws)
+        got = LayerStack(pieces, [ws]).layer_operator(0)
         want = sum(np.kron(w.T, a) for a, w in zip(pieces, ws))
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -157,10 +152,10 @@ def test_graphcnn_regime_single_piece_matches_plain():
     rng = np.random.default_rng(33)
     a = 0.3 * rng.normal(size=(4, 4))
     w = 0.4 * rng.normal(size=(3, 3))
-    plain = gcn_regime(a, [w])
+    plain = gcn_regime(gcn_stack(a, [w]))
     # one piece, one layer: composite operator is exactly W^T kron A, whose
     # extremes are the products of the factor extremes
-    comp = graphcnn_regime([a], [[w]])
+    comp = graphcnn_regime(LayerStack([a], [[w]]))
     assert comp.regime == plain.regime
     assert abs(comp.sigma_a - plain.sigma_a * plain.sigma_w) < 1e-9
     assert abs(comp.gamma_a - plain.gamma_a * plain.gamma_w) < 1e-9
@@ -326,6 +321,34 @@ def test_svd_each_reads_any_memory_layout():
         assert np.array_equal(svd(m, compute_uv=False), want.sigma)
 
 
+def test_svd_bits_do_not_depend_on_memory_layout():
+    """Fortran-ordered and reverse-strided views give the C copy's bits."""
+    # this (5, 3) matrix's Fortran copy once summed its squares in another
+    # order and moved sigma_3 by one ulp
+    first = np.random.default_rng(25).normal(size=(4, 5, 3))[3]
+    rng = np.random.default_rng(26)
+    for m in (first, first.T, rng.normal(size=(7, 4)),
+              rng.normal(size=(3, 8))):
+        c = np.ascontiguousarray(m)
+        spaced = np.zeros((2 * c.shape[0], 3 * c.shape[1]))
+        spaced[::2, ::3] = c
+        views = [np.asfortranarray(c), c[::-1, ::-1].copy()[::-1, ::-1],
+                 spaced[::2, ::3]]
+        want = svd(c)
+        for v in views:
+            assert np.array_equal(v, c)
+            _assert_same_factors(svd(v), want)
+            assert np.array_equal(svd(v, compute_uv=False), want.sigma)
+
+
+def test_gcn_regime_needs_one_piece():
+    stack = LayerStack([np.eye(3), np.eye(3)], [[np.eye(2), np.eye(2)]])
+    with pytest.raises(DomainError, match="takes one piece, got 2"):
+        gcn_regime(stack)
+    # the operator sum is 2 I: sigma 2, and slope * gamma = 0.4
+    assert graphcnn_regime(stack).regime == "indeterminate"
+
+
 def test_svd_stack_raises_whenever_a_matrix_would(monkeypatch):
     rng = np.random.default_rng(14)
     stack = rng.normal(size=(3, 6, 6))
@@ -423,24 +446,26 @@ def test_oversize_matrices_are_rejected_before_any_sweep(monkeypatch):
 def test_graphcnn_regime_checks_the_cap_before_forming_operators(
         monkeypatch):
     formed = []
-    inner = spectral.composite_operator
+    inner = LayerStack.layer_operator
 
-    def counting(pieces, piece_weights):
-        formed.append(len(pieces))
-        return inner(pieces, piece_weights)
+    def counting(stack, i):
+        formed.append(len(stack.pieces))
+        return inner(stack, i)
 
-    monkeypatch.setattr(spectral, "composite_operator", counting)
+    monkeypatch.setattr(LayerStack, "layer_operator", counting)
     monkeypatch.setattr(spectral, "MAX_SVD_SIDE", 10)
     rng = np.random.default_rng(27)
     pieces = [rng.normal(size=(6, 6)) for _ in range(2)]
     layers = [[rng.normal(size=(2, 2)) for _ in pieces] for _ in range(5)]
     with pytest.raises(DomainError, match=r"<= 10, got \(12, 12\)"):
-        graphcnn_regime(pieces, layers)
+        graphcnn_regime(LayerStack(pieces, layers))
     assert formed == []
-    # one narrower layer ahead of the wide ones changes nothing
+    # narrower layers ahead of the wide ones change nothing: a 2 -> 1 layer
+    # and a 1 -> 2 layer that chains it to them
     narrow = [[rng.normal(size=(2, 1)) for _ in pieces]]
+    widen = [[rng.normal(size=(1, 2)) for _ in pieces]]
     with pytest.raises(DomainError, match=r"got \(12, 12\)"):
-        graphcnn_regime(pieces, narrow + layers)
+        graphcnn_regime(LayerStack(pieces, narrow + widen + layers))
     assert formed == []
-    graphcnn_regime(pieces, narrow)
+    graphcnn_regime(LayerStack(pieces, narrow))
     assert formed == [2]

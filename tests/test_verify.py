@@ -88,7 +88,7 @@ def test_regimes_trials_get_the_reference_inputs(monkeypatch):
     is 0.0 in most runs, so it cannot show a reordered draw. The realized
     end-to-end maps and the decomposed layers' operators can.
     """
-    from degnn import propagate, spectral, verify
+    from degnn import propagate, verify
 
     seen = []
 
@@ -100,14 +100,14 @@ def test_regimes_trials_get_the_reference_inputs(monkeypatch):
         return recorded
 
     # the suite looks linearized_map up in degnn.verify, the reference loop
-    # in degnn.propagate; both regime classifiers reach composite_operator
-    # through degnn.spectral
+    # in degnn.propagate; graphcnn_regime and the reference loop reach the
+    # layers' operators through LayerStack.layer_operator
     monkeypatch.setattr(verify, "linearized_map",
                         spy(propagate.linearized_map))
     monkeypatch.setattr(propagate, "linearized_map",
                         spy(propagate.linearized_map))
-    monkeypatch.setattr(spectral, "composite_operator",
-                        spy(spectral.composite_operator))
+    monkeypatch.setattr(propagate.LayerStack, "layer_operator",
+                        spy(propagate.LayerStack.layer_operator))
     for seed, trials in ((3, 40), (11, 2 * TRIAL_BLOCK + 17)):
         seen.clear()
         check_regimes(trials=trials, seed=seed)
