@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .decompose import (
-    connectivity_aware_decompose,
+    SOURCES,
+    decompose_by,
     decomposition_stats,
-    random_decompose,
     save_decomposition,
 )
 from .graphs import load_edge_list, normalized_adjacency
@@ -249,8 +249,15 @@ def _name_list_option(canonical):
     return callback
 
 
-def _sbm_options(fn):
+def _training_options(fn):
+    """train's, ksweep's and depthsweep's decomposition and graph options."""
     options = [
+        click.option("--p", default=4, show_default=True, type=int),
+        click.option("--discount/--no-discount", default=False,
+                     show_default=True, help="divide shared entries so the "
+                     "pieces sum to the original"),
+        click.option("--skeleton/--no-skeleton", default=True,
+                     show_default=True),
         click.option("--nodes", default=400, show_default=True, type=int,
                      help="node count of the synthetic graph"),
         click.option("--blocks", default=4, show_default=True, type=int,
@@ -316,7 +323,7 @@ def partition(edges, p, seed, max_imbalance, out):
 @click.option("--edges", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", default="ca", show_default=True,
-              type=click.Choice(_choices(("connectivity_aware", "random"))),
+              type=click.Choice(_choices(SOURCES)),
               callback=_canonical_option)
 @click.option("--k", required=True, type=int, help="number of pieces")
 @click.option("--p", default=4, show_default=True, type=int,
@@ -330,12 +337,7 @@ def partition(edges, p, seed, max_imbalance, out):
 def decompose(edges, strategy, k, p, seed, skeleton, out):
     """Split a graph's edges into k pieces, one file per piece."""
     g = load_edge_list(edges)
-    if strategy == "random":
-        dec = random_decompose(g, k, seed)
-    else:
-        dec = connectivity_aware_decompose(
-            g, p, k, seed, with_skeleton=skeleton
-        )
+    dec = decompose_by(strategy, g, k, p, seed, with_skeleton=skeleton)
     out_dir = _out_dir(out)
     save_decomposition(dec, out_dir)
     stats = decomposition_stats(g, dec)
@@ -451,11 +453,7 @@ def _model_config(config, backbone, depth, hidden, k):
               type=click.Choice(_choices(DECOMP_SOURCES)),
               callback=_canonical_option,
               help="adjacency decomposition fed to the model")
-@click.option("--p", default=4, show_default=True, type=int)
-@click.option("--discount/--no-discount", default=False, show_default=True,
-              help="divide shared entries so the pieces sum to the original")
-@click.option("--skeleton/--no-skeleton", default=True, show_default=True)
-@_sbm_options
+@_training_options
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default="degnn_out", show_default=True,
               type=click.Path(file_okay=False))
@@ -508,10 +506,7 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
 @click.option("--decompose", "strategy", default="ca", show_default=True,
               type=click.Choice(_choices(DECOMP_SOURCES)),
               callback=_canonical_option)
-@click.option("--p", default=4, show_default=True, type=int)
-@click.option("--discount/--no-discount", default=False, show_default=True)
-@click.option("--skeleton/--no-skeleton", default=True, show_default=True)
-@_sbm_options
+@_training_options
 @click.option("--seed", default=0, show_default=True, type=int,
               help="offset added to every sweep seed")
 @click.option("--out", default="degnn_out", show_default=True,
@@ -557,10 +552,7 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
 @click.option("--hidden", default=16, show_default=True, type=int)
 @click.option("--k", default=4, show_default=True, type=int,
               help="pieces per layer for decomposed cells")
-@click.option("--p", default=4, show_default=True, type=int)
-@click.option("--discount/--no-discount", default=False, show_default=True)
-@click.option("--skeleton/--no-skeleton", default=True, show_default=True)
-@_sbm_options
+@_training_options
 @click.option("--seed", default=0, show_default=True, type=int,
               help="offset added to every sweep seed")
 @click.option("--out", default="degnn_out", show_default=True,

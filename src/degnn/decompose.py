@@ -23,6 +23,15 @@ from .graphs import piece_entries, union_find
 from .partition import multilevel_partition
 from .spectral import svd_each
 
+# the names of the decomposition strategies, as Decomposition.source holds them
+SOURCES = ("random", "connectivity_aware")
+
+
+def check_source(source):
+    """Raise DomainError unless source is one of SOURCES."""
+    if source not in SOURCES:
+        raise DomainError(f"unknown source {source!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -49,8 +58,7 @@ class Decomposition:
     def __post_init__(self):
         if self.k < 1 or len(self.pieces) != self.k:
             raise DomainError(f"need k >= 1 pieces, got k={self.k}")
-        if self.source not in ("random", "connectivity_aware"):
-            raise DomainError(f"unknown decomposition source {self.source!r}")
+        check_source(self.source)
         for a in (*self.edges, *self.pieces, self.skeleton):
             a.flags.writeable = False
 
@@ -289,28 +297,26 @@ def piece_matrices(g, d, discount=False):
     return out
 
 
-def layer_decompositions(g, k_schedule, strategy, p, seed, with_skeleton=True,
+def decompose_by(source, g, k, p, seed, with_skeleton=True, partitions=None):
+    """random_decompose or connectivity_aware_decompose of g, by source."""
+    check_source(source)
+    if source == "random":
+        return random_decompose(g, k, seed)
+    return connectivity_aware_decompose(g, p, k, seed,
+                                        with_skeleton=with_skeleton,
+                                        partitions=partitions)
+
+
+def layer_decompositions(g, k_schedule, source, p, seed, with_skeleton=True,
                          partitions=None):
     """One independent decomposition per layer, layer i drawn at seed + i.
 
     partitions is the optional partition cache of
-    connectivity_aware_decompose; the random strategy does not use it.
+    connectivity_aware_decompose; the random source does not use it.
     """
-    if strategy not in ("random", "connectivity_aware"):
-        raise DomainError(f"unknown decomposition strategy {strategy!r}")
-    out = []
-    for i, k_i in enumerate(k_schedule):
-        layer_seed = int(seed) + i
-        if strategy == "random":
-            out.append(random_decompose(g, k_i, layer_seed))
-        else:
-            out.append(
-                connectivity_aware_decompose(
-                    g, p, k_i, layer_seed, with_skeleton=with_skeleton,
-                    partitions=partitions,
-                )
-            )
-    return out
+    return [decompose_by(source, g, k_i, p, int(seed) + i,
+                         with_skeleton=with_skeleton, partitions=partitions)
+            for i, k_i in enumerate(k_schedule)]
 
 
 def save_decomposition(d, dir_path):

@@ -103,8 +103,9 @@ def load_edge_list(path):
     weight read wins); self-loop lines are skipped with a warning. Node
     count is 1 + max id seen.
 
-    Raises ParseError (with 1-based line number) on malformed lines or an
-    empty file, and DomainError on negative ids.
+    Raises ParseError (with 1-based line number) on malformed lines, on a
+    weight that is not a finite number > 0, and on an empty file; and
+    DomainError on negative ids.
     """
     path = str(path)
     raw = {}
@@ -132,10 +133,12 @@ def load_edge_list(path):
                 try:
                     w = float(parts[2])
                 except ValueError:
+                    w = np.nan
+                if not 0.0 < w < np.inf:
                     raise ParseError(
-                        f"weight must be a number, got {parts[2]!r}",
+                        f"weight must be a finite number > 0, got {parts[2]!r}",
                         path=path, line=lineno,
-                    ) from None
+                    )
             if i < 0 or j < 0:
                 raise DomainError(
                     f"negative node id on line {lineno} of {path}"

@@ -53,9 +53,9 @@ class LayerStack:
         object.__setattr__(self, "layer_weights", tuple(
             tuple(as_matrix(w, "weight") for w in layer)
             for layer in self.layer_weights))
-        # slope 1 makes the stack linear (mask = identity), which is useful
-        # on its own; the regime certificates stay restricted to (0, 1)
-        if not (0.0 < float(self.slope) <= 1.0):
+        # slope 1 makes the stack linear (mask = identity)
+        object.__setattr__(self, "slope", float(self.slope))
+        if not (0.0 < self.slope <= 1.0):
             raise DomainError(f"slope must lie in (0, 1], got {self.slope}")
         if not self.pieces:
             raise DomainError("need at least one piece matrix")
@@ -127,9 +127,10 @@ class RegimeReport:
         decay        iff sigma_a * sigma_w < 1
         preserve     iff slope * gamma_a * gamma_w >= 1
         indeterminate otherwise
-    (the two certificates are mutually exclusive because slope < 1 and
-    gamma <= sigma on each factor). bound_per_layer is the geometric factor
-    the certificate propagates: sigma_a * sigma_w in the decay and
+    (the two certificates are mutually exclusive because gamma <= sigma on
+    each factor: with LayerStack's slope <= 1, slope * gamma_a * gamma_w <=
+    sigma_a * sigma_w). bound_per_layer is the geometric factor the
+    certificate propagates: sigma_a * sigma_w in the decay and
     indeterminate cases, slope * gamma_a * gamma_w under preserve.
     """
 
@@ -140,13 +141,6 @@ class RegimeReport:
     slope: float
     regime: str
     bound_per_layer: float
-
-
-def _check_slope(slope):
-    slope = float(slope)
-    if not (0.0 < slope < 1.0):
-        raise DomainError(f"activation slope must lie in (0, 1), got {slope}")
-    return slope
 
 
 def _classify(sigma_a, gamma_a, sigma_w, gamma_w, slope):
@@ -177,9 +171,8 @@ def gcn_regime(stack):
     and each layer holds one weight matrix W. The per-layer linear map is
     the masked (W^T kron A), whose singular values are bounded by the
     products of the factor extremes. Raises DomainError on a stack of
-    several pieces, or of slope 1.
+    several pieces.
     """
-    slope = _check_slope(stack.slope)
     if len(stack.pieces) != 1:
         raise DomainError(
             f"gcn_regime takes one piece, got {len(stack.pieces)}")
@@ -187,7 +180,8 @@ def gcn_regime(stack):
                          compute_uv=False)
     sigma_w = max(float(s[0]) for s in s_w)
     gamma_w = min(float(s[-1]) for s in s_w)
-    return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w, slope)
+    return _classify(float(s_a[0]), float(s_a[-1]), sigma_w, gamma_w,
+                     stack.slope)
 
 
 def graphcnn_regime(stack):
@@ -197,9 +191,8 @@ def graphcnn_regime(stack):
     sup_i sigma(M_i) and inf_i gamma(M_i); the diagonal activation mask can
     only scale singular values by a factor in [slope, 1], which is what the
     classification rule accounts for. Every M_i's shape is checked against
-    svd's size cap before any is formed. Raises DomainError on slope 1.
+    svd's size cap before any is formed.
     """
-    slope = _check_slope(stack.slope)
     for layer in stack.layer_weights:
         d_in, d_out = layer[0].shape
         check_svd_side((d_out * stack.n, d_in * stack.n))
@@ -207,7 +200,7 @@ def graphcnn_regime(stack):
                       compute_uv=False)
     sup_sigma = max(float(s[0]) for s in sigmas)
     inf_gamma = min(float(s[-1]) for s in sigmas)
-    return _classify(sup_sigma, inf_gamma, 1.0, 1.0, slope)
+    return _classify(sup_sigma, inf_gamma, 1.0, 1.0, stack.slope)
 
 
 def prelu(z, slope):

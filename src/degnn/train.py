@@ -22,17 +22,17 @@ two epochs' arrays alive at once, train() peaked at 311 MiB.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .decompose import layer_decompositions, residuals
+from .decompose import SOURCES, check_source, layer_decompositions, residuals
 from .errors import DomainError, ParseError, TrainingError
 from .graphs import Graph, piece_entries
 from .propagate import _write_csv, prelu
 
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
-DECOMP_SOURCES = ("none", "random", "connectivity_aware")
+DECOMP_SOURCES = ("none", *SOURCES)
 
 # per-block split shares; the rest of each block (0.2) is the test split
 TRAIN_FRAC = 0.6
@@ -202,17 +202,10 @@ class ModelConfig:
             raise DomainError("max_epochs and patience must be >= 1")
 
 
-_CONFIG_KEYS = {
-    "backbone": str,
-    "depth": int,
-    "hidden": int,
-    "k_schedule": lambda s: tuple(int(v) for v in s.split(",")),
-    "slope": float,
-    "lr": float,
-    "weight_decay": float,
-    "max_epochs": int,
-    "patience": int,
-}
+# every ModelConfig field is a key, read by its type; k_schedule is a comma
+# list of ints
+_CONFIG_KEYS = {**{f.name: f.type for f in fields(ModelConfig)},
+                "k_schedule": lambda s: tuple(int(v) for v in s.split(","))}
 
 
 def load_model_config(path):
@@ -421,53 +414,6 @@ class PieceOperator:
             [g[:, s * width:(s + 1) * width] for s in range(self.slots)])
 
 
-def _build_operators(cfg, data, source, seed, p, discount, with_skeleton,
-                     partitions, widths):
-    """One PieceOperator per layer for the requested decomposition.
-
-    widths holds each layer's output width, the features that each of its
-    operator's gathers moves per entry.
-    """
-    if source not in DECOMP_SOURCES:
-        raise DomainError(f"unknown decomposition source {source!r}")
-    g = data.graph
-    if source == "none":
-        if any(k != 1 for k in cfg.k_schedule):
-            raise DomainError(
-                "k_schedule must be all ones when no decomposition is used"
-            )
-        # every layer propagates with the same matrix, so layers of one
-        # width share one operator
-        plain = (1, np.empty(0, dtype=np.int64), [np.arange(g.m)])
-        distinct = sorted(set(widths))
-        parts = [(*plain, width) for width in distinct]
-        which = [distinct.index(width) for width in widths]
-        discount = False
-    else:
-        decs = layer_decompositions(
-            g, cfg.k_schedule, source, p=p, seed=seed,
-            with_skeleton=with_skeleton, partitions=partitions,
-        )
-        parts = [(d.k, d.skeleton, residuals(d), width)
-                 for d, width in zip(decs, widths)]
-        which = range(len(parts))
-    # each operator holds the diagonal and every edge twice, n + 2 m entries,
-    # and layers run one at a time, so all operators gather into one buffer
-    buf = np.empty((g.n + 2 * g.m) * max(widths))
-    # every operator's sorted rows are node c once for its self loop and
-    # once per edge at c, whatever the decomposition, so the operators of
-    # one width share one row-key array
-    lo, hi, _ = g.edge_arrays()
-    degree = np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n)
-    rows = np.repeat(np.arange(g.n), degree + 1)
-    row_keys = {width: (rows[:, None] * width + np.arange(width)).ravel()
-                for width in set(widths)}
-    ops = [PieceOperator(g.n, k, *piece_entries(g, k, skeleton, own, discount),
-                         width, buf, row_keys[width])
-           for k, skeleton, own, width in parts]
-    return [ops[i] for i in which]
-
-
 def _layer_input(cfg, ys, i):
     """Assemble layer i's input from earlier outputs, per the backbone."""
     src = _sources(cfg, i)
@@ -557,6 +503,14 @@ def _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob):
             for glayer, layer in zip(grads, weights)]
 
 
+def _gradient_step(cfg, ops, weights, data, ys, zs, ins, prob):
+    """Step weights, in place, down the gradient at _forward_loss's outputs."""
+    grads = _backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
+    for layer, glayer in zip(weights, grads):
+        for w, gw in zip(layer, glayer):
+            w -= cfg.lr * gw
+
+
 def _accuracy(prob, labels, mask):
     idx = np.flatnonzero(mask)
     return float(np.mean(prob[idx].argmax(axis=1) == labels[idx]))
@@ -567,6 +521,15 @@ def _masked_ce(prob, labels, mask):
     return float(-np.mean(np.log(prob[idx, labels[idx]] + 1e-300)))
 
 
+def _check_run(cfg, source):
+    """Raise DomainError unless source is known and, if none, every K is 1."""
+    if source != "none":
+        check_source(source)
+    elif any(k != 1 for k in cfg.k_schedule):
+        raise DomainError("k_schedule must be all ones when no decomposition "
+                          f"is used, got {cfg.k_schedule}")
+
+
 def build_model(cfg, data, source="none", seed=0, p=4, discount=False,
                 with_skeleton=True, partitions=None):
     """(per-layer PieceOperators, init weights) for a config on a dataset.
@@ -574,11 +537,44 @@ def build_model(cfg, data, source="none", seed=0, p=4, discount=False,
     partitions is the optional partition cache that
     connectivity_aware_decompose shares across calls on data.graph.
     """
+    _check_run(cfg, source)
+    g = data.graph
     n_classes = int(data.labels.max()) + 1
     in_dim = data.features.shape[1]
+    # each layer's output width, the features that each of its operator's
+    # gathers moves per entry
     widths = [fan_out for _, fan_out in _layer_dims(cfg, in_dim, n_classes)]
-    ops = _build_operators(cfg, data, source, seed, p, discount,
-                           with_skeleton, partitions, widths)
+    if source == "none":
+        # every layer propagates with the same matrix, so layers of one
+        # width share one operator
+        plain = (1, np.empty(0, dtype=np.int64), [np.arange(g.m)])
+        distinct = sorted(set(widths))
+        parts = [(*plain, width) for width in distinct]
+        which = [distinct.index(width) for width in widths]
+        discount = False
+    else:
+        decs = layer_decompositions(
+            g, cfg.k_schedule, source, p=p, seed=seed,
+            with_skeleton=with_skeleton, partitions=partitions,
+        )
+        parts = [(d.k, d.skeleton, residuals(d), width)
+                 for d, width in zip(decs, widths)]
+        which = range(len(parts))
+    # each operator holds the diagonal and every edge twice, n + 2 m entries,
+    # and layers run one at a time, so all operators gather into one buffer
+    buf = np.empty((g.n + 2 * g.m) * max(widths))
+    # every operator's sorted rows are node c once for its self loop and
+    # once per edge at c, whatever the decomposition, so the operators of
+    # one width share one row-key array
+    lo, hi, _ = g.edge_arrays()
+    degree = np.bincount(lo, minlength=g.n) + np.bincount(hi, minlength=g.n)
+    rows = np.repeat(np.arange(g.n), degree + 1)
+    row_keys = {width: (rows[:, None] * width + np.arange(width)).ravel()
+                for width in set(widths)}
+    ops = [PieceOperator(g.n, k, *piece_entries(g, k, skeleton, own, discount),
+                         width, buf, row_keys[width])
+           for k, skeleton, own, width in parts]
+    ops = [ops[i] for i in which]
     ops[0].fix_input(data.features)
     rng = np.random.default_rng(seed)
     weights = _init_weights(cfg, in_dim, n_classes, rng)
@@ -631,14 +627,9 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
                 if since_best >= cfg.patience:
                     break
 
-            grads = _backward_pass(
-                cfg, ops, weights, data, ys, zs, ins, prob
-            )
-            for layer, glayer in zip(weights, grads):
-                for w, gw in zip(layer, glayer):
-                    w -= cfg.lr * gw
+            _gradient_step(cfg, ops, weights, data, ys, zs, ins, prob)
             # free this epoch's arrays before the next forward pass
-            del prob, ys, zs, ins, grads
+            del prob, ys, zs, ins
     return TrainResult(
         train_loss=tuple(hist["train_loss"]),
         train_acc=tuple(hist["train_acc"]),
@@ -678,17 +669,20 @@ def _seed_rows(columns, key, cfg, data, seeds, **train_kw):
 
 def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
             discount=False, with_skeleton=True):
-    """Test accuracy per piece count: one row per (k, seed) plus aggregates."""
+    """Test accuracy per piece count: one row per (k, seed) plus aggregates.
+
+    Every cell's settings are checked before the first one trains.
+    """
     k_values = [int(k) for k in k_values]
-    if not k_values or min(k_values) < 1:
-        raise DomainError("k values must be >= 1")
-    if source == "none" and any(k != 1 for k in k_values):
-        raise DomainError("k values must all be 1 when no decomposition is used")
+    if not k_values:
+        raise DomainError("need at least one k value")
+    cells = [replace(cfg, k_schedule=tuple([k] * cfg.depth)) for k in k_values]
+    for cfg_k in cells:
+        _check_run(cfg_k, source)
     # a partition depends on (graph, p, layer seed) only, so every k shares it
     partitions = {}
     rows = []
-    for k in k_values:
-        cfg_k = replace(cfg, k_schedule=tuple([k] * cfg.depth))
+    for k, cfg_k in zip(k_values, cells):
         rows += _seed_rows(
             KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=source, p=p,
             discount=discount, with_skeleton=with_skeleton,
@@ -718,17 +712,14 @@ def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
     """
     cells = []
     for backbone in backbones:
-        if backbone not in BACKBONES:
-            raise DomainError(f"unknown backbone {backbone!r}")
         for depth in depths:
             depth = int(depth)
             for source in sources:
-                if source not in DECOMP_SOURCES:
-                    raise DomainError(f"unknown source {source!r}")
                 sched = tuple([1 if source == "none" else k] * depth)
                 cfg_cell = replace(
                     cfg, backbone=backbone, depth=depth, k_schedule=sched
                 )
+                _check_run(cfg_cell, source)
                 key = {"backbone": backbone, "depth": depth, "source": source}
                 cells.append((key, cfg_cell))
     # a partition depends on (graph, p, layer seed) only, so cells that

@@ -4,16 +4,22 @@ import csv
 import hashlib
 import json
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from degnn.cli import main
-from degnn.decompose import load_decomposition
+from degnn.decompose import SOURCES, layer_decompositions, load_decomposition
+from degnn.graphs import load_edge_list
 from degnn.partition import import_partition
 from degnn.propagate import DECAY_COLUMNS
 from degnn.train import DEPTHSWEEP_COLUMNS, KSWEEP_COLUMNS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from golden_digests import _cycle_graph  # noqa: E402
 
 _SBM_FLAGS = ["--nodes", "80", "--blocks", "2", "--p-in", "0.2",
               "--p-out", "0.01", "--dim", "4"]
@@ -194,6 +200,23 @@ def test_decompose_random_has_empty_skeleton(tmp_path):
     assert dec.source == "random" and len(dec.skeleton) == 0
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_decompose_writes_the_first_layer_of_a_model(tmp_path, source):
+    """The command draws what layer_decompositions gives a model's layer 1."""
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "dec"
+    res = _run(["decompose", "--edges", str(edges), "--strategy", source,
+                "--k", "3", "--p", "4", "--seed", "5", "--out", str(out)])
+    assert res.exit_code == 0
+    written = load_decomposition(out)
+    drawn = layer_decompositions(load_edge_list(edges), [3], source, p=4,
+                                 seed=5)[0]
+    assert written.source == drawn.source == source
+    assert [written.triples(piece) for piece in written.pieces] == [
+        drawn.triples(piece) for piece in drawn.pieces]
+    assert written.triples(written.skeleton) == drawn.triples(drawn.skeleton)
+
+
 def test_decompose_zero_pieces_exits_2(tmp_path):
     edges = _edges_file(tmp_path)
     res = _run(["decompose", "--edges", str(edges), "--strategy", "random",
@@ -256,6 +279,26 @@ def test_decay_csv_bound_column(tmp_path):
     for depth, row in enumerate(rows[1:], start=1):
         assert int(row[0]) == depth
         assert abs(float(row[1]) - 0.5 ** depth) < 1e-12
+
+
+def test_decay_at_slope_one_bounds_every_depth(tmp_path):
+    """A linear stack (slope 1) gets its certificate, which bounds it.
+
+    On the self-looped normalized adjacency sigma(A) = 1, so the linear
+    map's top singular value meets the bound up to roundoff.
+    """
+    edges = tmp_path / "cycle.txt"
+    _cycle_graph(edges)
+    out = tmp_path / "run"
+    res = _run(["decay", "--edges", str(edges), "--depths", "1..3",
+                "--dim", "3", "--samples", "4", "--sigma-w", "0.5",
+                "--slope", "1", "--out", str(out)])
+    assert res.exit_code == 0
+    with open(out / "decay.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["depth"]) for row in rows] == [1, 2, 3]
+    for row in rows:
+        assert float(row["max_sv"]) <= float(row["bound"]) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("sigma_w", ["-0.5", "inf"])

@@ -117,6 +117,16 @@ def test_edge_list_parse_errors(tmp_path):
     with pytest.raises(DomainError):
         load_edge_list(path)
 
+    # a weight that is not finite and > 0 is named by its own line, even
+    # when a later line gives the pair a valid weight
+    for text, line in (("0 1\n1 2 -2\n", 2), ("0 1 -2\n0 1 1\n1 2\n", 1),
+                       ("0 1 0\n", 1), ("0 1 nan\n", 1), ("0 1 inf\n", 1),
+                       ("0 1 heavy\n", 1)):
+        path.write_text(text)
+        with pytest.raises(ParseError, match="finite number > 0") as exc:
+            load_edge_list(path)
+        assert (exc.value.path, exc.value.line) == (str(path), line)
+
     path.write_text("# only a comment\n\n")
     with pytest.raises(ParseError):
         load_edge_list(path)

@@ -125,6 +125,8 @@ def test_layer_stack_rejects_bad_stacks(pieces, layer_weights, slope, match):
 def test_layer_stack_stores_validated_tuples():
     stack = LayerStack([[[1, 0], [0, 1]]], [[[[2, 0], [0, 2]]]] * 3)
     assert stack.slope == 0.2
+    linear = LayerStack(stack.pieces, stack.layer_weights, 1)
+    assert linear.slope == 1.0 and type(linear.slope) is float
     assert isinstance(stack.pieces, tuple) and len(stack.pieces) == 1
     assert stack.pieces[0].dtype == np.float64
     assert isinstance(stack.layer_weights, tuple)

@@ -131,9 +131,16 @@ def test_regime_normalized_adjacency_is_decay_with_contracting_weights():
 
 
 def test_regime_rejects_bad_slope():
-    for slope in (0.0, 1.0, -0.3, 2.0):
+    for slope in (0.0, -0.3, 2.0):
         with pytest.raises(DomainError):
             gcn_regime(gcn_stack(np.eye(2), [np.eye(2)], slope=slope))
+    # slope 1 makes the stack linear; the identity stack keeps its input
+    for stack in (gcn_stack(np.eye(2), [np.eye(2)], slope=1),
+                  LayerStack([0.5 * np.eye(2)] * 2, [[np.eye(2)] * 2],
+                             slope=1)):
+        rep = stack.regime()
+        assert rep.regime == "preserve" and rep.slope == 1.0
+        assert type(rep.slope) is float
 
 
 def test_layer_operator_matches_direct_sum():

@@ -1,6 +1,7 @@
 """Tests for the block-model generator and the manual-gradient trainer."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from degnn.graphs import (
     piece_entries,
 )
 from degnn.train import (
+    DECOMP_SOURCES,
     DEPTHSWEEP_COLUMNS,
     HISTORY_COLUMNS,
     KSWEEP_COLUMNS,
@@ -172,6 +174,22 @@ def test_load_model_config_round_trip(tmp_path):
     assert cfg.slope == 0.1
     assert cfg.lr == 0.01
     assert cfg.max_epochs == 200
+
+
+def test_load_model_config_takes_every_field(tmp_path):
+    """Each ModelConfig field is a key, read with its own type."""
+    values = {"backbone": "jknet", "depth": 3, "hidden": 5,
+              "k_schedule": (2, 1, 3), "slope": 0.3, "lr": 0.02,
+              "weight_decay": 0.001, "max_epochs": 7, "patience": 4}
+    assert set(values) == {f.name for f in dataclasses.fields(ModelConfig)}
+    path = tmp_path / "model.cfg"
+    path.write_text("".join(
+        f"{key} = {','.join(map(str, v)) if key == 'k_schedule' else v}\n"
+        for key, v in values.items()))
+    cfg = load_model_config(path)
+    assert dataclasses.asdict(cfg) == values
+    assert all(type(getattr(cfg, key)) is type(v)
+               for key, v in values.items())
 
 
 def test_load_model_config_defaults_to_unit_schedule(tmp_path):
@@ -353,7 +371,7 @@ def _assert_close(got, want):
                          ids=["skeleton", "no_skeleton"])
 @pytest.mark.parametrize("discount", [False, True],
                          ids=["plain", "discount"])
-@pytest.mark.parametrize("source", ["none", "random", "connectivity_aware"])
+@pytest.mark.parametrize("source", DECOMP_SOURCES)
 def test_piece_operator_matches_dense_pieces(source, discount, with_skeleton):
     """Forward output and every A_k dz agree with the dense piece matrices."""
     g, n = _MIXED.graph, _MIXED.graph.n
@@ -437,7 +455,7 @@ def _trained_ops(monkeypatch, cfg, **train_kw):
     return built[0][0]
 
 
-@pytest.mark.parametrize("source", ["none", "random", "connectivity_aware"])
+@pytest.mark.parametrize("source", DECOMP_SOURCES)
 def test_operators_of_one_width_share_row_keys(monkeypatch, source):
     """One row-key array per width, equal to the keys of each operator's rows.
 
@@ -514,14 +532,21 @@ def test_k_sweep_rows_and_aggregates():
         k_sweep(cfg, _MIXED, k_values=[0], seeds=[0])
 
 
-def test_k_sweep_without_decomposition_rejects_k_before_training(monkeypatch):
-    """source none with a k other than 1 fails before any cell trains."""
-    def no_training(*args, **kwargs):
-        raise AssertionError("train() was called")
-
-    monkeypatch.setattr(degnn.train, "train", no_training)
-    with pytest.raises(DomainError, match="all be 1"):
-        k_sweep(_cfg(), _MIXED, k_values=[1, 2], seeds=[0], source="none")
+@pytest.mark.parametrize("k_values, source, message", [
+    ([1, 2], "none", "all ones"),
+    ([1, 0], "random", "entries >= 1"),
+    ([1, 2], "spectral", "unknown source"),
+], ids=["none", "k", "source"])
+def test_k_sweep_rejects_a_bad_cell_before_training(monkeypatch, k_values,
+                                                    source, message):
+    """A bad later cell fails before the earlier cells train."""
+    calls = []
+    monkeypatch.setattr(degnn.train, "train",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(DomainError, match=message):
+        k_sweep(_cfg(), _MIXED, k_values=k_values, seeds=[0, 1],
+                source=source)
+    assert calls == []
 
 
 @pytest.mark.parametrize("cells, message", [

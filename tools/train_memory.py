@@ -9,7 +9,8 @@ stochastic block model of average degree about 4.5 (p_in = 12/n,
 p_out = 0.75/n, 16 feature columns, seed 7), the stand-in for Pubmed at
 n = 19,717. The model is a gcn of hidden width 16 with K pieces per layer
 from the given decomposition source; the script builds it (build_model)
-and runs three full-batch epochs as train() does, without early stopping.
+and runs three full-batch epochs with train()'s own _forward_loss and
+_gradient_step, without early stopping.
 
 The model is built and trained twice in one process. The first run has
 tracemalloc off and gives each stage's seconds and the process's own peak
@@ -138,11 +139,8 @@ def _run(tr, cfg, spec, source, parts):
     stage("build_model")
     for epoch in range(1, EPOCHS + 1):
         _, prob, ys, zs, ins = tr._forward_loss(cfg, ops, weights, data)
-        grads = tr._backward_pass(cfg, ops, weights, data, ys, zs, ins, prob)
-        for layer, glayer in zip(weights, grads):
-            for w, gw in zip(layer, glayer):
-                w -= cfg.lr * gw
-        del prob, ys, zs, ins, grads
+        tr._gradient_step(cfg, ops, weights, data, ys, zs, ins, prob)
+        del prob, ys, zs, ins
         stage(f"epoch {epoch}")
     parts = {key[1:]: part for key, part in partitions.items()}
     return seconds, traced, (data, ops), parts
