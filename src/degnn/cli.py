@@ -33,6 +33,7 @@ from .propagate import (
     gcn_stack,
     random_unit_features,
     weights_with_top_singular,
+    write_csv,
     write_decay_csv,
 )
 from .train import (
@@ -42,12 +43,12 @@ from .train import (
     KSWEEP_COLUMNS,
     ModelConfig,
     SBMSpec,
-    depth_sweep,
+    depth_cells,
     generate_sbm,
-    k_sweep,
+    k_cells,
     load_model_config,
+    sweep,
     write_history_csv,
-    write_rows_csv,
 )
 from .train import train as train_model
 from .verify import SUITES
@@ -492,6 +493,26 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
     click.echo(f"wrote {out_dir / 'history.csv'}")
 
 
+def _sweep(name, cells, columns, line, seeds, p, discount, skeleton, seed,
+           out, **sbm):
+    """ksweep's and depthsweep's run: sweep the cells, write <name>.csv.
+
+    Each sweep seed is offset by seed; line is formatted from each aggregate
+    row and echoed.
+    """
+    data = _make_data(**sbm)
+    rows = sweep(cells, columns, data, [seed + s for s in seeds], p=p,
+                 discount=discount, with_skeleton=skeleton)
+    out_dir = _out_dir(out)
+    csv_path = out_dir / f"{name}.csv"
+    write_csv(rows, columns, csv_path)
+    _emit_manifest(out_dir)
+    for row in rows:
+        if row["kind"] == "aggregate":
+            click.echo(line.format(**row))
+    click.echo(f"wrote {csv_path}")
+
+
 @main.command()
 @click.option("--k", "k_values", default="1..8", show_default=True,
               callback=_int_list_option,
@@ -512,30 +533,14 @@ def train(config, backbone, depth, hidden, k, strategy, p, discount,
 @click.option("--out", default="degnn_out", show_default=True,
               type=click.Path(file_okay=False))
 @_guarded
-def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
-           skeleton, nodes, blocks, p_in, p_out, dim, noise, data_seed, seed,
-           out):
+def ksweep(k_values, seeds, backbone, depth, hidden, strategy, **run):
     """Sweep the number of decomposed pieces; one CSV row per run."""
     cfg = ModelConfig(
         backbone=backbone, depth=depth, hidden=hidden,
         k_schedule=tuple([1] * depth),
     )
-    data = _make_data(nodes, blocks, p_in, p_out, dim, noise, data_seed)
-    rows = k_sweep(
-        cfg, data, k_values, [seed + s for s in seeds], source=strategy, p=p,
-        discount=discount, with_skeleton=skeleton,
-    )
-    out_dir = _out_dir(out)
-    csv_path = out_dir / "ksweep.csv"
-    write_rows_csv(rows, KSWEEP_COLUMNS, csv_path)
-    _emit_manifest(out_dir)
-    for row in rows:
-        if row["kind"] == "aggregate":
-            click.echo(
-                f"k={row['k']}: mean={row['test_mean']:.4f} "
-                f"std={row['test_std']:.4f}"
-            )
-    click.echo(f"wrote {csv_path}")
+    _sweep("ksweep", k_cells(cfg, k_values, strategy), KSWEEP_COLUMNS,
+           "k={k}: mean={test_mean:.4f} std={test_std:.4f}", seeds, **run)
 
 
 @main.command()
@@ -558,31 +563,14 @@ def ksweep(k_values, seeds, backbone, depth, hidden, strategy, p, discount,
 @click.option("--out", default="degnn_out", show_default=True,
               type=click.Path(file_okay=False))
 @_guarded
-def depthsweep(depths, backbones, sources, seeds, hidden, k, p, discount,
-               skeleton, nodes, blocks, p_in, p_out, dim, noise, data_seed,
-               seed, out):
+def depthsweep(depths, backbones, sources, seeds, hidden, k, **run):
     """Compare depths, backbones, and decompositions; CSV per cell."""
     cfg = ModelConfig(
         backbone=backbones[0], depth=2, hidden=hidden, k_schedule=(1, 1),
     )
-    data = _make_data(nodes, blocks, p_in, p_out, dim, noise, data_seed)
-    rows = depth_sweep(
-        cfg, data, depths, backbones, sources,
-        [seed + s for s in seeds], k=k, p=p, discount=discount,
-        with_skeleton=skeleton,
-    )
-    out_dir = _out_dir(out)
-    csv_path = out_dir / "depthsweep.csv"
-    write_rows_csv(rows, DEPTHSWEEP_COLUMNS, csv_path)
-    _emit_manifest(out_dir)
-    for row in rows:
-        if row["kind"] == "aggregate":
-            click.echo(
-                f"{row['backbone']} depth={row['depth']} "
-                f"source={row['source']}: median={row['test_median']:.4f} "
-                f"mean={row['test_mean']:.4f}"
-            )
-    click.echo(f"wrote {csv_path}")
+    _sweep("depthsweep", depth_cells(cfg, depths, backbones, sources, k),
+           DEPTHSWEEP_COLUMNS, "{backbone} depth={depth} source={source}: "
+           "median={test_median:.4f} mean={test_mean:.4f}", seeds, **run)
 
 
 if __name__ == "__main__":

@@ -445,7 +445,7 @@ def decay_curve(stack, depths, n_samples=16, epsilon=1e-6, seed=0, inputs=None):
     return rows
 
 
-def _write_csv(rows, columns, path):
+def write_csv(rows, columns, path):
     """Write dict rows under a header of columns; floats as their repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -457,4 +457,4 @@ def _write_csv(rows, columns, path):
 
 def write_decay_csv(rows, path):
     """Write decay rows to CSV with the mandatory header."""
-    _write_csv(rows, DECAY_COLUMNS, path)
+    write_csv(rows, DECAY_COLUMNS, path)

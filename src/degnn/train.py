@@ -29,7 +29,7 @@ import numpy as np
 from .decompose import SOURCES, check_source, layer_decompositions, residuals
 from .errors import DomainError, ParseError, TrainingError
 from .graphs import Graph, piece_entries
-from .propagate import _write_csv, prelu
+from .propagate import prelu, write_csv
 
 BACKBONES = ("gcn", "resgcn", "densegcn", "jknet")
 DECOMP_SOURCES = ("none", *SOURCES)
@@ -643,54 +643,6 @@ def train(cfg, data, source="none", seed=0, p=4, discount=False,
 
 
 KSWEEP_COLUMNS = ("k", "kind", "seed", "test_acc", "test_mean", "test_std")
-
-_AGGREGATES = {"test_mean": np.mean, "test_median": np.median,
-               "test_std": np.std}
-
-
-def _seed_rows(columns, key, cfg, data, seeds, **train_kw):
-    """One cell row per seed's test accuracy, then their aggregate row.
-
-    key fills the columns that name the sweep cell; the aggregate row fills
-    whichever of test_mean, test_median and test_std are in columns.
-    """
-    rows = []
-    accs = []
-    for seed in seeds:
-        res = train(cfg, data, seed=int(seed), **train_kw)
-        accs.append(res.test_acc)
-        rows.append({**dict.fromkeys(columns, ""), **key, "kind": "cell",
-                     "seed": int(seed), "test_acc": res.test_acc})
-    stats = {c: float(f(accs)) for c, f in _AGGREGATES.items() if c in columns}
-    rows.append({**dict.fromkeys(columns, ""), **key, "kind": "aggregate",
-                 **stats})
-    return rows
-
-
-def k_sweep(cfg, data, k_values, seeds, source="connectivity_aware", p=4,
-            discount=False, with_skeleton=True):
-    """Test accuracy per piece count: one row per (k, seed) plus aggregates.
-
-    Every cell's settings are checked before the first one trains.
-    """
-    k_values = [int(k) for k in k_values]
-    if not k_values:
-        raise DomainError("need at least one k value")
-    cells = [replace(cfg, k_schedule=tuple([k] * cfg.depth)) for k in k_values]
-    for cfg_k in cells:
-        _check_run(cfg_k, source)
-    # a partition depends on (graph, p, layer seed) only, so every k shares it
-    partitions = {}
-    rows = []
-    for k, cfg_k in zip(k_values, cells):
-        rows += _seed_rows(
-            KSWEEP_COLUMNS, {"k": k}, cfg_k, data, seeds, source=source, p=p,
-            discount=discount, with_skeleton=with_skeleton,
-            partitions=partitions,
-        )
-    return rows
-
-
 DEPTHSWEEP_COLUMNS = (
     "backbone",
     "depth",
@@ -703,35 +655,57 @@ DEPTHSWEEP_COLUMNS = (
     "test_std",
 )
 
+_AGGREGATES = {"test_mean": np.mean, "test_median": np.median,
+               "test_std": np.std}
 
-def depth_sweep(cfg, data, depths, backbones, sources, seeds, k=4, p=4,
-                discount=False, with_skeleton=True):
-    """Test accuracy across depth, backbone, and decomposition source.
 
-    Every cell's settings are checked before the first one trains.
+def k_cells(cfg, k_values, source):
+    """Sweep cells of cfg with k pieces in every layer, one per k."""
+    return [({"k": int(k)}, replace(cfg, k_schedule=(int(k),) * cfg.depth),
+             source) for k in k_values]
+
+
+def depth_cells(cfg, depths, backbones, sources, k):
+    """Sweep cells per (backbone, depth, source), in that nesting order.
+
+    A decomposed cell has k pieces in every layer, a none cell one.
     """
-    cells = []
-    for backbone in backbones:
-        for depth in depths:
-            depth = int(depth)
-            for source in sources:
-                sched = tuple([1 if source == "none" else k] * depth)
-                cfg_cell = replace(
-                    cfg, backbone=backbone, depth=depth, k_schedule=sched
-                )
-                _check_run(cfg_cell, source)
-                key = {"backbone": backbone, "depth": depth, "source": source}
-                cells.append((key, cfg_cell))
-    # a partition depends on (graph, p, layer seed) only, so cells that
-    # share a layer seed share it, whatever their depth or backbone
+    return [({"backbone": backbone, "depth": depth, "source": source},
+             replace(cfg, backbone=backbone, depth=depth,
+                     k_schedule=(1 if source == "none" else k,) * depth),
+             source)
+            for backbone in backbones for depth in map(int, depths)
+            for source in sources]
+
+
+def sweep(cells, columns, data, seeds, p=4, discount=False,
+          with_skeleton=True):
+    """Test accuracy per cell: one row per (cell, seed), then an aggregate.
+
+    A cell is (key, cfg, source); key fills the columns that name the cell,
+    and each aggregate row fills whichever of test_mean, test_median and
+    test_std are in columns. Every cell is checked before the first one
+    trains. A partition depends on (graph, p, layer seed) only, so all cells
+    share one partition cache.
+    """
+    seeds = [int(seed) for seed in seeds]
+    if not cells or not seeds:
+        raise DomainError("a sweep needs at least one cell and one seed, got "
+                          f"{len(cells)} cells and {len(seeds)} seeds")
+    for _, cfg, source in cells:
+        _check_run(cfg, source)
     partitions = {}
     rows = []
-    for key, cfg_cell in cells:
-        rows += _seed_rows(
-            DEPTHSWEEP_COLUMNS, key, cfg_cell, data, seeds,
-            source=key["source"], p=p, discount=discount,
-            with_skeleton=with_skeleton, partitions=partitions,
-        )
+    for key, cfg, source in cells:
+        accs = [train(cfg, data, source=source, seed=seed, p=p,
+                      discount=discount, with_skeleton=with_skeleton,
+                      partitions=partitions).test_acc for seed in seeds]
+        blank = {**dict.fromkeys(columns, ""), **key}
+        rows += [{**blank, "kind": "cell", "seed": seed, "test_acc": acc}
+                 for seed, acc in zip(seeds, accs)]
+        rows.append({**blank, "kind": "aggregate",
+                     **{c: float(f(accs)) for c, f in _AGGREGATES.items()
+                        if c in columns}})
     return rows
 
 
@@ -743,8 +717,4 @@ def write_history_csv(result, path):
                  result.val_acc)
     rows = [dict(zip(HISTORY_COLUMNS, (epoch, *values)))
             for epoch, values in enumerate(series, start=1)]
-    _write_csv(rows, HISTORY_COLUMNS, path)
-
-
-def write_rows_csv(rows, columns, path):
-    _write_csv(rows, columns, path)
+    write_csv(rows, HISTORY_COLUMNS, path)

@@ -27,6 +27,7 @@ from degnn.propagate import (
     quantized_entropy,
     random_unit_features,
     weights_with_top_singular,
+    write_csv,
 )
 from degnn.spectral import singular_extremes
 from degnn.train import (
@@ -34,9 +35,9 @@ from degnn.train import (
     ModelConfig,
     SBMSpec,
     generate_sbm,
-    k_sweep,
+    k_cells,
+    sweep,
     train,
-    write_rows_csv,
 )
 from degnn.verify import check_kron_identities, check_split_spectrum
 from oracles import (
@@ -295,10 +296,10 @@ def test_10_piece_count_sweep(tmp_path):
     cfg = ModelConfig(backbone="gcn", depth=2, hidden=16, k_schedule=(1, 1))
     k_values = list(range(1, 9))
     seeds = [0, 1, 2]
-    rows = k_sweep(cfg, data, k_values, seeds, source="connectivity_aware",
-                   p=4, with_skeleton=False)
-    again = k_sweep(cfg, data, k_values, seeds, source="connectivity_aware",
-                    p=4, with_skeleton=False)
+    rows = sweep(k_cells(cfg, k_values, "connectivity_aware"), KSWEEP_COLUMNS,
+                 data, seeds, p=4, with_skeleton=False)
+    again = sweep(k_cells(cfg, k_values, "connectivity_aware"),
+                  KSWEEP_COLUMNS, data, seeds, p=4, with_skeleton=False)
     complete = len(rows) == len(k_values) * (len(seeds) + 1)
     aggregates = [r for r in rows if r["kind"] == "aggregate"]
     finite = all(
@@ -307,7 +308,7 @@ def test_10_piece_count_sweep(tmp_path):
     )
     covers = sorted(r["k"] for r in aggregates) == k_values
     path = tmp_path / "ksweep.csv"
-    write_rows_csv(rows, KSWEEP_COLUMNS, path)
+    write_csv(rows, KSWEEP_COLUMNS, path)
     with open(path, newline="") as fh:
         back = list(csv.reader(fh))
     csv_ok = tuple(back[0]) == KSWEEP_COLUMNS and len(back) == 1 + len(rows)

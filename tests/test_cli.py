@@ -413,6 +413,17 @@ def test_train_divergent_config_exits_3(tmp_path):
     assert res.exit_code == 3
 
 
+def _echo_lines(csv_path, line):
+    """line formatted from each aggregate row of a sweep CSV, then wrote."""
+    with open(csv_path, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh)
+                if row["kind"] == "aggregate"]
+    stats = ("test_mean", "test_median", "test_std")
+    return [line.format(**{**row, **{c: float(row[c]) for c in stats
+                                     if c in row}})
+            for row in rows] + [f"wrote {csv_path}"]
+
+
 def test_ksweep_range_syntax_and_csv(tmp_path):
     out = tmp_path / "run"
     res = _run(["ksweep", "--k", "1..3", "--seeds", "0..1",
@@ -423,7 +434,11 @@ def test_ksweep_range_syntax_and_csv(tmp_path):
     assert tuple(rows[0]) == KSWEEP_COLUMNS
     # 3 k values x (2 cells + 1 aggregate)
     assert len(rows) == 1 + 9
-    assert "k=3: mean=" in res.output
+    # one line per aggregate row, in CSV order, then the path
+    lines = _echo_lines(out / "ksweep.csv",
+                        "k={k}: mean={test_mean:.4f} std={test_std:.4f}")
+    assert [line.split(":")[0] for line in lines[:3]] == ["k=1", "k=2", "k=3"]
+    assert res.stdout.splitlines() == lines
 
 
 def test_ksweep_bad_range_exits_2():
@@ -445,5 +460,10 @@ def test_depthsweep_aliases_and_csv(tmp_path):
     # 2 backbones x 2 depths x 2 sources x (1 cell + 1 aggregate)
     assert len(rows) == 1 + 16
     assert "densegcn" in {row[0] for row in rows[1:]}
+    lines = _echo_lines(out / "depthsweep.csv",
+                        "{backbone} depth={depth} source={source}: "
+                        "median={test_median:.4f} mean={test_mean:.4f}")
+    assert len(lines) == 1 + 8
+    assert res.stdout.splitlines() == lines
     res = _run(["depthsweep", "--backbones", "transformer", *_SBM_FLAGS])
     assert res.exit_code == 2

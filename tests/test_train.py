@@ -16,6 +16,7 @@ from degnn.graphs import (
     normalized_adjacency,
     piece_entries,
 )
+from degnn.propagate import write_csv
 from degnn.train import (
     DECOMP_SOURCES,
     DEPTHSWEEP_COLUMNS,
@@ -26,13 +27,13 @@ from degnn.train import (
     SBMSpec,
     TrainResult,
     build_model,
-    depth_sweep,
+    depth_cells,
     generate_sbm,
-    k_sweep,
+    k_cells,
     load_model_config,
+    sweep,
     train,
     write_history_csv,
-    write_rows_csv,
 )
 from oracles import finite_diff_gradcheck
 
@@ -515,7 +516,8 @@ def test_piece_operator_rejects_row_keys_of_other_rows():
 
 def test_k_sweep_rows_and_aggregates():
     cfg = _cfg()
-    rows = k_sweep(cfg, _MIXED, k_values=[1, 2], seeds=[0, 1], p=4)
+    rows = sweep(k_cells(cfg, [1, 2], "connectivity_aware"), KSWEEP_COLUMNS,
+                 _MIXED, seeds=[0, 1], p=4)
     assert len(rows) == 6
     for row in rows:
         assert set(row) == set(KSWEEP_COLUMNS)
@@ -527,52 +529,72 @@ def test_k_sweep_rows_and_aggregates():
     std = np.std([r["test_acc"] for r in cells])
     assert abs(agg[0]["test_std"] - std) < 1e-15
     with pytest.raises(DomainError):
-        k_sweep(cfg, _MIXED, k_values=[], seeds=[0])
+        sweep(k_cells(cfg, [], "connectivity_aware"), KSWEEP_COLUMNS,
+              _MIXED, seeds=[0])
     with pytest.raises(DomainError):
-        k_sweep(cfg, _MIXED, k_values=[0], seeds=[0])
+        sweep(k_cells(cfg, [0], "connectivity_aware"), KSWEEP_COLUMNS,
+              _MIXED, seeds=[0])
 
 
-@pytest.mark.parametrize("k_values, source, message", [
-    ([1, 2], "none", "all ones"),
-    ([1, 0], "random", "entries >= 1"),
-    ([1, 2], "spectral", "unknown source"),
-], ids=["none", "k", "source"])
-def test_k_sweep_rejects_a_bad_cell_before_training(monkeypatch, k_values,
-                                                    source, message):
-    """A bad later cell fails before the earlier cells train."""
-    calls = []
-    monkeypatch.setattr(degnn.train, "train",
-                        lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(DomainError, match=message):
-        k_sweep(_cfg(), _MIXED, k_values=k_values, seeds=[0, 1],
-                source=source)
-    assert calls == []
-
-
-@pytest.mark.parametrize("cells, message", [
-    (dict(depths=[2, 1], backbones=["gcn"], sources=["none", "random"]),
-     "depth must be >= 2"),
-    (dict(depths=[2], backbones=["gcn", "mlp"], sources=["none"]),
+@pytest.mark.parametrize("cells, seeds, message", [
+    (lambda: k_cells(_cfg(), [1, 2], "none"), [0, 1], "all ones"),
+    (lambda: k_cells(_cfg(), [1, 0], "random"), [0, 1], "entries >= 1"),
+    (lambda: k_cells(_cfg(), [1, 2], "spectral"), [0, 1], "unknown source"),
+    (lambda: depth_cells(_cfg(), [2, 1], ["gcn"], ["none", "random"], 2),
+     [0, 1], "depth must be >= 2"),
+    (lambda: depth_cells(_cfg(), [2], ["gcn", "mlp"], ["none"], 2), [0, 1],
      "unknown backbone"),
-    (dict(depths=[2], backbones=["gcn"], sources=["none", "spectral"]),
-     "unknown source"),
-], ids=["depth", "backbone", "source"])
-def test_depth_sweep_rejects_a_bad_cell_before_training(monkeypatch, cells,
-                                                       message):
-    """A bad later cell fails before the earlier cells train."""
+    (lambda: depth_cells(_cfg(), [2], ["gcn"], ["none", "spectral"], 2),
+     [0, 1], "unknown source"),
+    (lambda: k_cells(_cfg(), [], "random"), [0, 1], "0 cells"),
+    (lambda: depth_cells(_cfg(), [2], ["gcn"], [], 2), [0, 1], "0 cells"),
+    (lambda: k_cells(_cfg(), [1, 2], "random"), [], "0 seeds"),
+    (lambda: depth_cells(_cfg(), [2], ["gcn"], ["none"], 2), [], "0 seeds"),
+], ids=["k-none", "k-k", "k-source", "depth-depth", "depth-backbone",
+        "depth-source", "k-no-cells", "depth-no-cells", "k-no-seeds",
+        "depth-no-seeds"])
+def test_sweep_rejects_a_bad_cell_before_training(monkeypatch, cells, seeds,
+                                                  message):
+    """A bad later cell, or no cell or seed at all, fails before any trains."""
     calls = []
     monkeypatch.setattr(degnn.train, "train",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(DomainError, match=message):
-        depth_sweep(_cfg(), _MIXED, seeds=[0, 1], k=2, **cells)
+        sweep(cells(), KSWEEP_COLUMNS, _MIXED, seeds=seeds)
     assert calls == []
+
+
+@pytest.mark.parametrize("cells, columns", [
+    (k_cells(_cfg(), [1, 2], "connectivity_aware"), KSWEEP_COLUMNS),
+    (depth_cells(_cfg(), [2, 3], ["gcn", "jknet"], ["none", "random"], 2),
+     DEPTHSWEEP_COLUMNS),
+], ids=["k", "depth"])
+def test_sweep_passes_its_settings_to_every_run(monkeypatch, cells, columns):
+    """Every train call gets the sweep's p, discount, skeleton and cache."""
+    calls = []
+
+    def recorded(cfg, data, **kwargs):
+        calls.append((cfg, kwargs))
+        return TrainResult((), (), (), (), 0.5, 1, 1, kwargs["seed"])
+
+    monkeypatch.setattr(degnn.train, "train", recorded)
+    sweep(cells, columns, _MIXED, seeds=[0, 1], p=16, discount=True,
+          with_skeleton=False)
+    assert [(cfg, kw["source"], kw["seed"]) for cfg, kw in calls] == [
+        (cfg, source, seed) for _, cfg, source in cells for seed in (0, 1)]
+    for _, kwargs in calls:
+        assert kwargs["p"] == 16
+        assert kwargs["discount"] is True
+        assert kwargs["with_skeleton"] is False
+        assert kwargs["partitions"] is calls[0][1]["partitions"]
+    assert isinstance(calls[0][1]["partitions"], dict)
 
 
 def test_depth_sweep_rows_and_aggregates():
     cfg = _cfg()
-    rows = depth_sweep(cfg, _MIXED, depths=[2], backbones=["gcn"],
-                       sources=["none", "connectivity_aware"], seeds=[0, 1],
-                       k=2, p=4)
+    rows = sweep(depth_cells(cfg, [2], ["gcn"],
+                             ["none", "connectivity_aware"], 2),
+                 DEPTHSWEEP_COLUMNS, _MIXED, seeds=[0, 1], p=4)
     assert len(rows) == 6
     for row in rows:
         assert set(row) == set(DEPTHSWEEP_COLUMNS)
@@ -590,8 +612,7 @@ def test_depth_sweep_rows_and_aggregates():
         assert abs(row["test_median"] - np.median(accs)) < 1e-15
         assert abs(row["test_std"] - np.std(accs)) < 1e-15
     with pytest.raises(DomainError):
-        depth_sweep(cfg, _MIXED, depths=[2], backbones=["mlp"],
-                    sources=["none"], seeds=[0])
+        depth_cells(cfg, [2], ["mlp"], ["none"], 2)
 
 
 def _count_partitions(monkeypatch):
@@ -624,9 +645,9 @@ def test_sweeps_partition_each_key_once(monkeypatch):
     calls = _count_partitions(monkeypatch)
 
     def depths():
-        return depth_sweep(cfg, _MIXED, depths=[2, 6], backbones=["gcn"],
-                           sources=["none", "connectivity_aware"],
-                           seeds=[0, 1, 2], k=4, p=16)
+        return sweep(depth_cells(cfg, [2, 6], ["gcn"],
+                                 ["none", "connectivity_aware"], 4),
+                     DEPTHSWEEP_COLUMNS, _MIXED, seeds=[0, 1, 2], p=16)
 
     rows = depths()
     assert len(calls) == 8
@@ -637,7 +658,8 @@ def test_sweeps_partition_each_key_once(monkeypatch):
     calls.clear()
 
     def ks():
-        return k_sweep(cfg, _MIXED, k_values=[1, 2, 3], seeds=[0, 1], p=4)
+        return sweep(k_cells(cfg, [1, 2, 3], "connectivity_aware"),
+                     KSWEEP_COLUMNS, _MIXED, seeds=[0, 1], p=4)
 
     rows = ks()
     assert len(calls) == 3
@@ -664,9 +686,10 @@ def test_history_csv_round_trip(tmp_path):
 
 def test_rows_csv_round_trip(tmp_path):
     cfg = _cfg()
-    rows = k_sweep(cfg, _MIXED, k_values=[2], seeds=[0], p=4)
+    rows = sweep(k_cells(cfg, [2], "connectivity_aware"), KSWEEP_COLUMNS,
+                 _MIXED, seeds=[0], p=4)
     path = tmp_path / "sweep.csv"
-    write_rows_csv(rows, KSWEEP_COLUMNS, path)
+    write_csv(rows, KSWEEP_COLUMNS, path)
     with open(path, newline="") as fh:
         back = list(csv.reader(fh))
     assert tuple(back[0]) == KSWEEP_COLUMNS

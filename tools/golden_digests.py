@@ -18,8 +18,8 @@ unrequested layers between them, and on a weighted graph), verify (also at
 a trial count that the suites run in several blocks), train for every
 backbone (vanilla and random-decomposed) and from a --config file, partition,
 connectivity-aware decompose, and the k and depth sweeps with both the random
-and the connectivity-aware decomposition. It takes a few minutes on two
-cores.
+and the connectivity-aware decomposition (one depth sweep also with
+--discount and --no-skeleton). It takes a few minutes on two cores.
 """
 
 import hashlib
@@ -113,6 +113,12 @@ def commands(work):
                            "--decompose", "none,ca", "--seeds", "0..2",
                            "--p", "16", "--nodes", "150", "--p-in", "0.21",
                            "--p-out", "0.013"]),
+        # the sweep's run settings, which no other golden changes from
+        # their defaults
+        ("depthsweep_discount", ["depthsweep", "--depths", "2",
+                                 "--decompose", "none,ca", "--seeds", "0..1",
+                                 "--k", "3", "--p", "8", "--discount",
+                                 "--no-skeleton"]),
     ]
     return cmds
 
