@@ -341,7 +341,7 @@ def decompose(edges, strategy, k, p, seed, skeleton, out):
     dec = decompose_by(strategy, g, k, p, seed, with_skeleton=skeleton)
     out_dir = _out_dir(out)
     save_decomposition(dec, out_dir)
-    stats = decomposition_stats(g, dec)
+    stats = decomposition_stats(dec)
     _write_json(out_dir / "stats.json", stats)
     _emit_manifest(out_dir)
     click.echo(

@@ -4,12 +4,14 @@ Two strategies produce K subgraphs over the original node set: a uniform
 random deal of the edges, and a connectivity-aware construction that keeps
 only the intra-partition edges, plants a random spanning forest of them into
 every piece, and deals the remaining edges round robin. A decomposition
-holds each piece as a sorted array of indices into the graph's sorted edge
-arrays (Graph.edge_arrays), so the trainer slices its pieces out of those
-arrays; (i, j, w) triples are formed only to write or test one. Spanning
-forests and piece component counts come from graphs.union_find on index
-arrays, without a Graph. A third, spectral, construction splits a dense
-matrix along its singular directions.
+holds the graph it decomposes and each piece as a sorted array of indices
+into that graph's sorted edge arrays (Graph.edge_arrays), so the trainer
+slices its pieces out of those arrays; (i, j, w) triples are formed only to
+write or test one. The functions that read a decomposition (piece_matrices,
+decomposition_stats, save_decomposition) take it alone. Spanning forests
+and piece component counts come from graphs.union_find on index arrays,
+without a Graph. A third, spectral, construction splits a dense matrix along
+its singular directions.
 """
 
 import json
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError
-from .graphs import piece_entries, union_find
-from .partition import multilevel_partition
+from .errors import DomainError
+from .graphs import Graph, piece_entries, union_find
+from .partition import check_part_count, multilevel_partition
 from .spectral import svd_each
 
 # the names of the decomposition strategies, as Decomposition.source holds them
@@ -35,20 +37,19 @@ def check_source(source):
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """K edge sets over a shared node set, with an optional shared skeleton.
+    """K edge sets of one graph, with an optional shared skeleton.
 
-    edges holds the (i, j, w) arrays of the decomposed graph's edges, i < j,
-    sorted by (i, j), as Graph.edge_arrays returns them. pieces holds one
-    sorted int64 array per piece: the indices into edges of the piece's
-    edges. skeleton holds the sorted indices of the common edge set T that
-    the connectivity-aware strategy replicates into every piece; it is empty
+    graph is the decomposed Graph. pieces holds one sorted int64 array per
+    piece: the indices of the piece's edges into graph.edge_arrays(), whose
+    (i, j, w) arrays list the edges with i < j, sorted by (i, j). skeleton
+    holds the sorted indices of the common edge set T that the
+    connectivity-aware strategy replicates into every piece; it is empty
     for the random strategy. p and seed record how the decomposition was
-    drawn, for serialization. Every array is read-only.
+    drawn, for serialization. Every index array is read-only.
     """
 
-    n: int
+    graph: Graph
     k: int
-    edges: tuple
     pieces: tuple
     skeleton: np.ndarray
     source: str
@@ -59,12 +60,12 @@ class Decomposition:
         if self.k < 1 or len(self.pieces) != self.k:
             raise DomainError(f"need k >= 1 pieces, got k={self.k}")
         check_source(self.source)
-        for a in (*self.edges, *self.pieces, self.skeleton):
+        for a in (*self.pieces, self.skeleton):
             a.flags.writeable = False
 
     def triples(self, index):
         """The edges at a sorted index array, as sorted (i, j, w) triples."""
-        i, j, w = self.edges
+        i, j, w = self.graph.edge_arrays()
         return tuple(zip(i[index].tolist(), j[index].tolist(),
                          w[index].tolist()))
 
@@ -84,8 +85,8 @@ def random_decompose(g, k, seed):
     order = np.random.default_rng(seed).permutation(g.m)
     pieces = tuple(np.sort(order[t::k]) for t in range(k))
     return Decomposition(
-        n=g.n, k=k, edges=g.edge_arrays(), pieces=pieces,
-        skeleton=_no_edges(), source="random", seed=int(seed),
+        graph=g, k=k, pieces=pieces, skeleton=_no_edges(), source="random",
+        seed=int(seed),
     )
 
 
@@ -124,35 +125,37 @@ def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
     inherit.
 
     with_skeleton=False keeps the dealing order but plants no forest, so
-    the pieces partition the edge set exactly.
+    the pieces partition the edge set exactly. Nothing then reads a
+    partition, so none is drawn; p is still checked as the partitioner
+    checks it.
 
     partitions, when given, is a dict that the caller shares between calls
     on the same graphs, such as the cells of one sweep. It maps
     (g, p, seed) to the partition drawn for that key, keyed by the graph
     object itself, so each key is partitioned once. The partition does not
-    depend on k or with_skeleton.
+    depend on k.
     """
     k = _check_k(k)
     ss = np.random.SeedSequence(seed)
     seed_part, seed_forest = ss.spawn(2)
-    if partitions is None:
-        partitions = {}
-    key = (g, p, seed)
-    if key not in partitions:
-        partitions[key] = multilevel_partition(g, p, seed=seed_part)
-    labels = partitions[key].labels
-    lo, hi, _ = g.edge_arrays()
     if with_skeleton:
+        if partitions is None:
+            partitions = {}
+        key = (g, p, seed)
+        if key not in partitions:
+            partitions[key] = multilevel_partition(g, p, seed=seed_part)
+        labels = partitions[key].labels
+        lo, hi, _ = g.edge_arrays()
         intra = np.flatnonzero(labels[lo] == labels[hi])
         skeleton = random_spanning_forest(g, intra, seed_forest)
     else:
+        check_part_count(g, p)
         skeleton = _no_edges()
     residual = np.delete(np.arange(g.m), skeleton)
     pieces = tuple(np.union1d(skeleton, residual[t::k]) for t in range(k))
     return Decomposition(
-        n=g.n,
+        graph=g,
         k=k,
-        edges=g.edge_arrays(),
         pieces=pieces,
         skeleton=skeleton,
         source="connectivity_aware",
@@ -239,19 +242,13 @@ def _split(a, groups, res):
     )
 
 
-def _check_of_graph(g, d):
-    """Raise DomainError unless d decomposes g's own edges."""
-    if d.n != g.n or not all(map(np.array_equal, d.edges, g.edge_arrays())):
-        raise DomainError("decomposition is not of this graph's edges")
-
-
-def decomposition_stats(g, d):
-    """Size and connectivity summary of a decomposition of g."""
-    _check_of_graph(g, d)
+def decomposition_stats(d):
+    """Size and connectivity summary of a decomposition."""
+    g = d.graph
     piece_edges = [len(piece) for piece in d.pieces]
     # a piece has n components less one per edge of its spanning forest
-    lo, hi, _ = d.edges
-    piece_components = [d.n - len(union_find(d.n, lo[piece], hi[piece])[0])
+    lo, hi, _ = g.edge_arrays()
+    piece_components = [g.n - len(union_find(g.n, lo[piece], hi[piece])[0])
                         for piece in d.pieces]
     total = sum(piece_edges)
     duplication = total / g.m if g.m else 1.0
@@ -267,13 +264,13 @@ def decomposition_stats(g, d):
 
 def residuals(d):
     """Each piece's own edges: its indices that are not in the skeleton."""
-    shared = np.zeros(len(d.edges[0]), dtype=bool)
+    shared = np.zeros(d.graph.m, dtype=bool)
     shared[d.skeleton] = True
     return [piece[~shared[piece]] for piece in d.pieces]
 
 
-def piece_matrices(g, d, discount=False):
-    """Dense propagation matrices, one per piece of a decomposition of g.
+def piece_matrices(d, discount=False):
+    """Dense propagation matrices, one per piece of a decomposition.
 
     Piece t is the trainer's entries (graphs.piece_entries) of slot t and
     the shared slot, scattered into an n x n array: the normalized matrix
@@ -284,7 +281,7 @@ def piece_matrices(g, d, discount=False):
     diagonal) by k in every piece so the pieces sum to the whole-graph
     matrix again.
     """
-    _check_of_graph(g, d)
+    g = d.graph
     rows, cols, slots, vals = piece_entries(g, d.k, d.skeleton, residuals(d),
                                             discount)
     out = []
@@ -332,7 +329,7 @@ def save_decomposition(d, dir_path):
         dump(os.path.join(dir_path, f"piece_{idx}.txt"), piece)
     dump(os.path.join(dir_path, "skeleton.txt"), d.skeleton)
     meta = {
-        "n": d.n,
+        "n": d.graph.n,
         "k": d.k,
         "p": d.p,
         "seed": d.seed,
@@ -341,85 +338,3 @@ def save_decomposition(d, dir_path):
     with open(os.path.join(dir_path, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_decomposition(dir_path):
-    """Inverse of save_decomposition.
-
-    The edges are the union of the files' edges, sorted. Raises ParseError,
-    with the file and line, on metadata without a positive integer n and k
-    or a string source, and on an edge line that is not "i j w" with integer
-    ids 0 <= i < j < n and a finite weight w > 0, or that gives an edge a
-    second weight; and, with the piece file, on a piece that lacks an edge
-    of the skeleton.
-    """
-    meta_path = os.path.join(dir_path, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read decomposition metadata: {exc}",
-                         path=meta_path) from None
-
-    def field(key, kind=int, default=None, least=1):
-        value = meta.get(key, default) if isinstance(meta, dict) else None
-        if type(value) is not kind or kind is int and value < least:
-            raise ParseError(f"bad or missing {key!r} in decomposition "
-                             f"metadata: {value!r}", path=meta_path)
-        return value
-
-    n, k, source = field("n"), field("k"), field("source", str)
-    weights = {}
-
-    def slurp(path):
-        pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                fields = text.split()
-                try:
-                    i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
-                    bad = len(fields) != 3 or not (0 <= i < j < n
-                                                   and 0.0 < w < np.inf)
-                except (ValueError, IndexError):
-                    bad = True
-                if bad:
-                    raise ParseError(
-                        f"expected 'i j w' with integer ids 0 <= i < j < {n} "
-                        f"and a finite weight w > 0, got {text!r}",
-                        path=path, line=lineno)
-                if weights.setdefault((i, j), w) != w:
-                    raise ParseError(f"edge {(i, j)} has two weights",
-                                     path=path, line=lineno)
-                pairs.append((i, j))
-        return pairs
-
-    paths = [os.path.join(dir_path, f"piece_{idx}.txt") for idx in range(k)]
-    files = [slurp(path) for path in paths]
-    skeleton = slurp(os.path.join(dir_path, "skeleton.txt"))
-    for path, pairs in zip(paths, files):
-        lacking = set(skeleton).difference(pairs)
-        if lacking:
-            raise ParseError(f"lacks skeleton edge {min(lacking)}", path=path)
-    order = sorted(weights)
-    index = {pair: e for e, pair in enumerate(order)}
-    edges = (np.array([i for i, _ in order], dtype=np.int64),
-             np.array([j for _, j in order], dtype=np.int64),
-             np.array([weights[pair] for pair in order], dtype=np.float64))
-
-    def indices(pairs):
-        return np.sort(np.array([index[pair] for pair in pairs],
-                                dtype=np.int64))
-
-    return Decomposition(
-        n=n,
-        k=k,
-        edges=edges,
-        pieces=tuple(indices(pairs) for pairs in files),
-        skeleton=indices(skeleton),
-        source=source,
-        p=field("p", default=1),
-        seed=field("seed", default=0, least=0),
-    )

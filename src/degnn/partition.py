@@ -27,14 +27,13 @@ max_imbalance whenever feasible; moves never empty a part.
 
 import heapq
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from degnn.errors import DomainError, ParseError
+from degnn.errors import DomainError
 from degnn.graphs import connected_components, induced_subgraph
 
 COARSE_STOP_FACTOR = 8
@@ -98,39 +97,12 @@ def partition_stats(g, part):
     }
 
 
-def import_partition(path, n):
-    """Read one part id per line; p becomes 1 + max id.
-
-    Raises ParseError on a line-count mismatch or non-integer lines and
-    DomainError on negative ids. Ids missing from the middle of the range
-    leave empty parts, which is tolerated with a warning.
-    """
-    path = str(path)
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                v = int(text)
-            except ValueError:
-                raise ParseError(
-                    f"expected one integer per line, got {text!r}",
-                    path=path, line=lineno,
-                ) from None
-            if v < 0:
-                raise DomainError(f"negative part id {v} on line {lineno} of {path}")
-            labels.append(v)
-    if len(labels) != n:
-        raise ParseError(f"expected {n} lines, found {len(labels)}", path=path)
-    arr = np.asarray(labels, dtype=np.int64)
-    p = int(arr.max()) + 1
-    present = set(arr.tolist())
-    missing = [k for k in range(p) if k not in present]
-    if missing:
-        warnings.warn(f"partition file leaves parts {missing} empty")
-    return Partition(labels=arr, p=p)
+def check_part_count(g, p):
+    """Raise DomainError unless p is an int with 1 <= p <= g.n."""
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        raise DomainError(f"p must be an int, got {p!r}")
+    if not (1 <= p <= g.n):
+        raise DomainError(f"need 1 <= p <= n={g.n}, got p={p}")
 
 
 def _adjacency_lists(g):
@@ -554,10 +526,7 @@ def multilevel_partition(g, p, seed, max_imbalance=1.3):
     size demands it, and grouping whole components onto a part adds no cut
     edges.
     """
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise DomainError(f"p must be an int, got {p!r}")
-    if not (1 <= p <= g.n):
-        raise DomainError(f"need 1 <= p <= n={g.n}, got p={p}")
+    check_part_count(g, p)
     if not (1.0 <= max_imbalance < math.inf):
         raise DomainError(
             f"max_imbalance must be finite and >= 1.0, got {max_imbalance}"

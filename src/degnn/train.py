@@ -668,8 +668,11 @@ def k_cells(cfg, k_values, source):
 def depth_cells(cfg, depths, backbones, sources, k):
     """Sweep cells per (backbone, depth, source), in that nesting order.
 
-    A decomposed cell has k pieces in every layer, a none cell one.
+    A decomposed cell has k pieces in every layer, a none cell one; k must
+    be at least 1 whichever sources are listed.
     """
+    if k < 1:
+        raise DomainError(f"pieces per layer must be >= 1, got k={k}")
     return [({"backbone": backbone, "depth": depth, "source": source},
              replace(cfg, backbone=backbone, depth=depth,
                      k_schedule=(1 if source == "none" else k,) * depth),

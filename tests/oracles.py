@@ -192,7 +192,7 @@ def adjacency(g):
     return a
 
 
-def piece_matrices_reference(g, d, discount=False):
+def piece_matrices_reference(d, discount=False):
     """degnn.decompose.piece_matrices as a dense construction.
 
     The normalized matrix is formed densely, row scale first; each piece
@@ -202,6 +202,7 @@ def piece_matrices_reference(g, d, discount=False):
     """
     from degnn.graphs import self_looped_degrees
 
+    g = d.graph
     inv_sqrt = 1.0 / np.sqrt(self_looped_degrees(g))
     base = (adjacency(g) + np.eye(g.n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
     scale = d.k if discount else 1
@@ -274,7 +275,7 @@ def piece_graph(d, idx):
     """Piece idx of decomposition d as a Graph over the full node set."""
     from degnn.graphs import Graph
 
-    return Graph(d.n, d.triples(d.pieces[idx]))
+    return Graph(d.graph.n, d.triples(d.pieces[idx]))
 
 
 def edge_union(d):

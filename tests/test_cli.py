@@ -12,9 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from degnn.cli import main
-from degnn.decompose import SOURCES, layer_decompositions, load_decomposition
+from degnn.decompose import SOURCES, layer_decompositions, save_decomposition
 from degnn.graphs import load_edge_list
-from degnn.partition import import_partition
+from degnn.partition import multilevel_partition
 from degnn.propagate import DECAY_COLUMNS
 from degnn.train import DEPTHSWEEP_COLUMNS, KSWEEP_COLUMNS
 
@@ -56,8 +56,10 @@ def test_partition_writes_labels_stats_manifest(tmp_path):
     res = _run(["partition", "--edges", str(edges), "--p", "4",
                 "--seed", "7", "--out", str(out)])
     assert res.exit_code == 0
-    part = import_partition(out / "partition.txt", 40)
-    assert part.p == 4
+    # one label per line, as drawn in-process
+    drawn = multilevel_partition(load_edge_list(edges), 4, 7)
+    assert (out / "partition.txt").read_text().splitlines() == [
+        str(v) for v in drawn.labels.tolist()]
     stats = json.loads((out / "stats.json").read_text())
     assert stats["p"] == 4 and stats["n"] == 40
     assert f"cut_edges={stats['cut_edges']}" in res.output
@@ -183,11 +185,12 @@ def test_decompose_connectivity_aware_directory(tmp_path):
     assert res.exit_code == 0
     for idx in range(4):
         assert (out / f"piece_{idx}.txt").exists()
-    dec = load_decomposition(out)
-    assert dec.k == 4 and dec.source == "connectivity_aware"
-    assert len(dec.skeleton) > 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["k"] == 4 and meta["source"] == "connectivity_aware"
+    skeleton = (out / "skeleton.txt").read_text().splitlines()
+    assert len(skeleton) > 0
     stats = json.loads((out / "stats.json").read_text())
-    assert stats["skeleton_edges"] == len(dec.skeleton)
+    assert stats["skeleton_edges"] == len(skeleton)
 
 
 def test_decompose_random_has_empty_skeleton(tmp_path):
@@ -196,25 +199,28 @@ def test_decompose_random_has_empty_skeleton(tmp_path):
     res = _run(["decompose", "--edges", str(edges), "--strategy", "random",
                 "--k", "3", "--out", str(out)])
     assert res.exit_code == 0
-    dec = load_decomposition(out)
-    assert dec.source == "random" and len(dec.skeleton) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["source"] == "random"
+    assert (out / "skeleton.txt").read_text() == ""
 
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_decompose_writes_the_first_layer_of_a_model(tmp_path, source):
-    """The command draws what layer_decompositions gives a model's layer 1."""
+    """The command writes what layer_decompositions gives a model's layer 1."""
     edges = _edges_file(tmp_path)
     out = tmp_path / "dec"
     res = _run(["decompose", "--edges", str(edges), "--strategy", source,
                 "--k", "3", "--p", "4", "--seed", "5", "--out", str(out)])
     assert res.exit_code == 0
-    written = load_decomposition(out)
     drawn = layer_decompositions(load_edge_list(edges), [3], source, p=4,
                                  seed=5)[0]
-    assert written.source == drawn.source == source
-    assert [written.triples(piece) for piece in written.pieces] == [
-        drawn.triples(piece) for piece in drawn.pieces]
-    assert written.triples(written.skeleton) == drawn.triples(drawn.skeleton)
+    saved = tmp_path / "drawn"
+    save_decomposition(drawn, saved)
+    names = sorted(path.name for path in saved.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        [*names, "stats.json", "manifest.json"])
+    for name in names:
+        assert (out / name).read_bytes() == (saved / name).read_bytes(), name
 
 
 def test_decompose_zero_pieces_exits_2(tmp_path):
@@ -222,6 +228,17 @@ def test_decompose_zero_pieces_exits_2(tmp_path):
     res = _run(["decompose", "--edges", str(edges), "--strategy", "random",
                 "--k", "0"])
     assert res.exit_code == 2
+
+
+def test_decompose_no_skeleton_checks_p(tmp_path):
+    """No partition is drawn without a skeleton, but p is still checked."""
+    edges = _edges_file(tmp_path)
+    out = tmp_path / "dec"
+    res = _run(["decompose", "--edges", str(edges), "--strategy", "ca",
+                "--k", "2", "--p", "0", "--no-skeleton", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "need 1 <= p <= n=" in res.output
+    assert not out.exists()
 
 
 def test_verify_single_suite(tmp_path):
@@ -467,3 +484,14 @@ def test_depthsweep_aliases_and_csv(tmp_path):
     assert res.stdout.splitlines() == lines
     res = _run(["depthsweep", "--backbones", "transformer", *_SBM_FLAGS])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("sources", ["none", "none,ca"])
+def test_depthsweep_zero_pieces_exits_2(tmp_path, sources):
+    """k < 1 is rejected whether or not any cell is decomposed."""
+    out = tmp_path / "run"
+    res = _run(["depthsweep", "--depths", "2", "--decompose", sources,
+                "--k", "0", "--seeds", "0", *_SBM_FLAGS, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "pieces per layer must be >= 1, got k=0" in res.output
+    assert not out.exists()

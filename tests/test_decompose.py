@@ -1,13 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 
+import degnn.decompose
 from degnn.decompose import (
     connectivity_aware_decompose,
     decomposition_stats,
     layer_decompositions,
-    load_decomposition,
     piece_matrices,
     random_decompose,
     random_spanning_forest,
@@ -15,7 +13,7 @@ from degnn.decompose import (
     spectral_split,
     spectral_splits,
 )
-from degnn.errors import DomainError, ParseError
+from degnn.errors import DomainError
 from degnn.graphs import Graph, normalized_adjacency
 from degnn.partition import Partition, cut_edges, multilevel_partition
 from oracles import (
@@ -190,6 +188,39 @@ def test_connectivity_aware_without_skeleton():
     assert sorted(all_pairs) == sorted({(i, j) for (i, j, _) in g.edge_list()})
 
 
+def test_without_skeleton_draws_no_partition(monkeypatch):
+    """The pieces read no labels then, so none are drawn; p is still checked."""
+    rng = np.random.default_rng(13)
+    g = _random_graph(30, 80, rng)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return multilevel_partition(*args, **kwargs)
+
+    monkeypatch.setattr(degnn.decompose, "multilevel_partition", counted)
+    for p, seed in ((1, 0), (3, 9), (30, 5)):
+        d = connectivity_aware_decompose(g, p, 4, seed, with_skeleton=False)
+        # the reference draws the partition that the pieces do not read
+        pieces, skeleton = connectivity_aware_decompose_reference(
+            g, p, 4, seed, with_skeleton=False)
+        assert tuple(map(d.triples, d.pieces)) == pieces
+        assert skeleton == () and len(d.skeleton) == 0
+        for t, piece in enumerate(d.pieces):
+            assert np.array_equal(piece, np.arange(t, g.m, 4))
+    assert calls == []
+    for bad in (0, 31, 2.0, True):
+        with pytest.raises(DomainError) as drawn:
+            multilevel_partition(g, bad, seed=0)
+        with pytest.raises(DomainError) as skipped:
+            connectivity_aware_decompose(g, bad, 4, seed=0,
+                                         with_skeleton=False)
+        assert str(skipped.value) == str(drawn.value)
+    assert calls == []
+    connectivity_aware_decompose(g, 3, 4, seed=9)
+    assert len(calls) == 1
+
+
 def _planted(rng, n, blocks, deg_in=8.0, deg_out=0.8):
     """Sparse planted-partition graph, as the benchmark's partition input."""
     block_of = np.arange(n) % blocks
@@ -262,7 +293,8 @@ def test_decompositions_match_tuple_reference():
 def test_decomposition_arrays_are_read_only():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     d = connectivity_aware_decompose(g, 2, 2, seed=0)
-    for a in (*d.edges, *d.pieces, d.skeleton):
+    assert d.graph is g
+    for a in (*d.pieces, d.skeleton):
         with pytest.raises(ValueError):
             a[:1] = 0
 
@@ -347,18 +379,18 @@ def test_spectral_splits_need_one_group_count_per_matrix():
 
 def test_stats_duplication():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    st = decomposition_stats(g, random_decompose(g, 1, seed=0))
+    st = decomposition_stats(random_decompose(g, 1, seed=0))
     assert st["duplication_factor"] == 1.0
 
     # tree input: every piece equals the skeleton, duplication = k
     d = connectivity_aware_decompose(g, 1, 3, seed=0)
-    st = decomposition_stats(g, d)
+    st = decomposition_stats(d)
     assert st["duplication_factor"] == 3.0
     assert st["skeleton_edges"] == 3
 
     rng = np.random.default_rng(1)
     g100 = _random_graph(60, 100, rng)
-    st = decomposition_stats(g100, random_decompose(g100, 4, seed=2))
+    st = decomposition_stats(random_decompose(g100, 4, seed=2))
     assert st["piece_edges"] == [25, 25, 25, 25]
 
 
@@ -366,11 +398,11 @@ def test_piece_matrices_global_discount_sums_to_whole():
     rng = np.random.default_rng(17)
     g = _random_graph(20, 40, rng)
     d = connectivity_aware_decompose(g, 2, 3, seed=5)
-    mats = piece_matrices(g, d, discount=True)
+    mats = piece_matrices(d, discount=True)
     want = normalized_adjacency(g)
     assert np.max(np.abs(sum(mats) - want)) < 1e-12
     # without discount the shared entries are replicated, so the sum drifts
-    plain = piece_matrices(g, d, discount=False)
+    plain = piece_matrices(d, discount=False)
     assert np.max(np.abs(sum(plain) - want)) > 1e-6
 
 
@@ -387,39 +419,14 @@ def test_piece_matrices_match_dense_reference():
                 for with_skeleton in (True, False)]
             for d in decs:
                 for discount in (False, True):
-                    got = piece_matrices(g, d, discount=discount)
-                    want = piece_matrices_reference(g, d, discount=discount)
+                    got = piece_matrices(d, discount=discount)
+                    want = piece_matrices_reference(d, discount=discount)
                     assert len(got) == k
                     for a, b in zip(got, want):
                         assert np.array_equal(a, b)
                         assert np.array_equal(a, a.T)
                     cases += 1
     assert cases == 144
-
-
-def _decompositions_of_other_edges(g):
-    """Decompositions of graphs whose edges or node count differ from g's."""
-    other = Graph(4, [(0, 2), (0, 3), (1, 3)])
-    five = Graph(4, [*g.edge_list(), (0, 2), (1, 3)])
-    return [random_decompose(other, 1, seed=0),
-            random_decompose(other, 2, seed=0),
-            random_decompose(Graph(5, g.edge_list()), 1, seed=0),
-            random_decompose(five, 1, seed=0)]
-
-
-def test_piece_matrices_reject_a_decomposition_of_other_edges():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    for d in _decompositions_of_other_edges(g):
-        with pytest.raises(DomainError, match="not of this graph's edges"):
-            piece_matrices(g, d)
-
-
-def test_stats_reject_a_decomposition_of_other_edges():
-    """Same node count is not enough: stats would count the other edges."""
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    for d in _decompositions_of_other_edges(g):
-        with pytest.raises(DomainError, match="not of this graph's edges"):
-            decomposition_stats(g, d)
 
 
 def test_layer_decompositions_independent_per_layer():
@@ -435,57 +442,31 @@ def test_layer_decompositions_independent_per_layer():
 
 
 def test_save_load_round_trip(tmp_path):
+    """Each file's lines are its edge set's triples; meta.json the drawing."""
     rng = np.random.default_rng(29)
     g = _random_graph(15, 30, rng)
     for d in (random_decompose(g, 3, seed=7),
               connectivity_aware_decompose(g, 2, 3, seed=7)):
         out = tmp_path / d.source
         save_decomposition(d, out)
-        assert (out / "meta.json").exists()
-        assert (out / "skeleton.txt").exists()
-        assert (out / "piece_2.txt").exists()
-        # weights print as Python floats: "1.0", not "np.float64(1.0)"
-        first = (out / "piece_0.txt").read_text().splitlines()[0]
-        assert first.endswith(" 1.0")
-        back = load_decomposition(out)
-        assert (back.n, back.k, back.source, back.p, back.seed) == (
-            d.n, d.k, d.source, d.p, d.seed)
-        # every edge lies in some piece, so the files' edges are the graph's
-        for got, want in zip(back.edges, d.edges):
-            assert np.array_equal(got, want)
-        assert _same_pieces(back, d)
-        assert np.array_equal(back.skeleton, d.skeleton)
-        assert back.triples(back.skeleton) == d.triples(d.skeleton)
-
-
-def test_load_rejects_an_edge_with_two_weights(tmp_path):
-    g = Graph(3, [(0, 1), (1, 2)])
-    out = tmp_path / "dec"
-    save_decomposition(random_decompose(g, 2, seed=0), out)
-    (out / "skeleton.txt").write_text("0 1 2.5\n")
-    with pytest.raises(ParseError, match="two weights"):
-        load_decomposition(out)
-
-
-def test_load_rejects_a_piece_that_lacks_a_skeleton_edge(tmp_path):
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-    out = tmp_path / "dec"
-    save_decomposition(connectivity_aware_decompose(g, 2, 2, seed=0), out)
-    assert "0 1 1.0" in (out / "skeleton.txt").read_text().splitlines()
-    piece = out / "piece_1.txt"
-    lines = piece.read_text().splitlines(keepends=True)
-    piece.write_text("".join(x for x in lines if x != "0 1 1.0\n"))
-    with pytest.raises(ParseError) as exc:
-        load_decomposition(out)
-    assert str(exc.value).startswith("lacks skeleton edge (0, 1) (")
-    assert exc.value.path == str(piece)
+        files = {f"piece_{t}.txt": piece for t, piece in enumerate(d.pieces)}
+        files["skeleton.txt"] = d.skeleton
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [*files, "meta.json"])
+        for name, index in files.items():
+            # weights print as Python floats: "1.0", not "np.float64(1.0)"
+            assert (out / name).read_text() == "".join(
+                f"{i} {j} {w!r}\n" for i, j, w in d.triples(index))
+        assert (out / "meta.json").read_text() == (
+            '{\n  "k": 3,\n  "n": 15,\n  "p": %d,\n  "seed": 7,\n'
+            '  "source": "%s"\n}\n' % (d.p, d.source))
 
 
 def _stats_oracle(d):
     return [component_count(piece_graph(d, i)) for i in range(d.k)]
 
 
-def test_stats_piece_components_match_dfs_oracle(tmp_path):
+def test_stats_piece_components_match_dfs_oracle():
     """Union-find counts equal depth-first counts on every kind of piece."""
     rng = np.random.default_rng(43)
     cases = [(g, p) for g, p in _reference_graphs() if g.n < 1000]
@@ -501,76 +482,7 @@ def test_stats_piece_components_match_dfs_oracle(tmp_path):
                     partitions=partitions)
                 for with_skeleton in (True, False)]
             for d in decs:
-                stats = decomposition_stats(g, d)
+                stats = decomposition_stats(d)
                 assert stats["piece_components"] == _stats_oracle(d)
                 checked += 1
-                if k != 3:
-                    continue
-                out = tmp_path / str(checked)
-                save_decomposition(d, out)
-                back = load_decomposition(out)
-                assert decomposition_stats(g, back) == stats
-                assert _stats_oracle(back) == _stats_oracle(d)
     assert checked == 9 * len(cases)
-
-
-_GOOD_LINE = "0 1 1.0\n"
-
-
-@pytest.mark.parametrize("name, text, line", [
-    ("piece_0.txt", "1 5 1.0", 2),
-    ("piece_0.txt", "-1 1 1.0", 2),
-    ("piece_1.txt", "2 1 1.0", 2),
-    ("skeleton.txt", "1 1 1.0", 1),
-    ("piece_0.txt", "0 x 1.0", 2),
-    ("piece_0.txt", "0.5 1 1.0", 2),
-    ("piece_0.txt", "0 2 heavy", 2),
-    ("piece_1.txt", "0 2 inf", 2),
-    ("piece_1.txt", "0 2 nan", 2),
-    ("piece_0.txt", "0 2 0.0", 2),
-    ("piece_0.txt", "0 2 -2.0", 2),
-    ("piece_1.txt", "0 2", 2),
-    ("skeleton.txt", "0 2 1.0 1.0", 1),
-], ids=["id-past-n", "negative-id", "i-above-j", "self-loop",
-        "non-integer-id", "float-id", "non-number-weight", "infinite-weight",
-        "nan-weight", "zero-weight", "negative-weight", "two-fields",
-        "four-fields"])
-def test_load_rejects_bad_edge_lines(tmp_path, name, text, line):
-    g = Graph(3, [(0, 1), (1, 2)])
-    out = tmp_path / "dec"
-    save_decomposition(random_decompose(g, 2, seed=0), out)
-    prefix = "" if line == 1 else _GOOD_LINE
-    (out / name).write_text(prefix + text + "\n")
-    with pytest.raises(ParseError) as exc:
-        load_decomposition(out)
-    assert exc.value.path == str(out / name)
-    assert exc.value.line == line
-
-
-@pytest.mark.parametrize("edit", [
-    lambda meta: {},
-    lambda meta: {**meta, "n": None},
-    lambda meta: {key: v for key, v in meta.items() if key != "n"},
-    lambda meta: {**meta, "n": "3"},
-    lambda meta: {**meta, "n": 2.5},
-    lambda meta: {**meta, "n": 0},
-    lambda meta: {key: v for key, v in meta.items() if key != "k"},
-    lambda meta: {**meta, "k": "two"},
-    lambda meta: {**meta, "k": True},
-    lambda meta: {key: v for key, v in meta.items() if key != "source"},
-    lambda meta: {**meta, "source": 3},
-    lambda meta: {**meta, "p": "four"},
-    lambda meta: {**meta, "seed": -1},
-    lambda meta: [meta],
-], ids=["empty", "null-n", "missing-n", "string-n", "float-n", "zero-n",
-        "missing-k", "string-k", "bool-k", "missing-source", "int-source",
-        "string-p", "negative-seed", "not-an-object"])
-def test_load_rejects_bad_metadata(tmp_path, edit):
-    g = Graph(3, [(0, 1), (1, 2)])
-    out = tmp_path / "dec"
-    save_decomposition(random_decompose(g, 2, seed=0), out)
-    meta = json.loads((out / "meta.json").read_text())
-    (out / "meta.json").write_text(json.dumps(edit(meta)))
-    with pytest.raises(ParseError) as exc:
-        load_decomposition(out)
-    assert exc.value.path == str(out / "meta.json")

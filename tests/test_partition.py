@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from degnn.decompose import random_decompose, spectral_split
-from degnn.errors import DomainError, ParseError
+from degnn.errors import DomainError
 from degnn.graphs import Graph, connected_components
 from degnn.partition import (
     Partition,
@@ -20,7 +20,6 @@ from degnn.partition import (
     _weights,
     cut_edges,
     cut_weight,
-    import_partition,
     multilevel_partition,
     partition_stats,
 )
@@ -282,21 +281,6 @@ def test_single_part_and_errors():
         multilevel_partition(g, 2, seed=0, max_imbalance=0.9)
     with pytest.raises(DomainError):
         multilevel_partition(g, 2, seed=0, max_imbalance=float("inf"))
-
-
-def test_import_partition(tmp_path):
-    path = tmp_path / "part.txt"
-    path.write_text("0\n1\n1\n0\n")
-    part = import_partition(path, n=4)
-    assert part.p == 2
-    assert part.labels.tolist() == [0, 1, 1, 0]
-    path.write_text("0\n2\n2\n0\n")
-    with pytest.warns(UserWarning):
-        part = import_partition(path, n=4)
-    assert part.p == 3
-    path.write_text("0\n1\n")
-    with pytest.raises(ParseError):
-        import_partition(path, n=4)
 
 
 # sha256 of multilevel_partition(...).labels.tobytes(), recorded before the

@@ -352,7 +352,7 @@ def test_forward_wiring_matches_spelled_out_depth5():
         ops, weights = build_model(cfg, _MIXED, source="random", seed=2, p=4)
         assert [w[0].shape for w in weights] == dims
         ys, zs, ins = _forward_pass(cfg, ops, weights, _MIXED.features)
-        pieces = [piece_matrices(_MIXED.graph, d) for d in layer_decompositions(
+        pieces = [piece_matrices(d) for d in layer_decompositions(
             _MIXED.graph, cfg.k_schedule, "random", p=4, seed=2)]
         ref_ys, ref_ins = _reference_depth5(backbone, pieces, weights,
                                             _MIXED.features, cfg.slope)
@@ -383,7 +383,7 @@ def test_piece_operator_matches_dense_pieces(source, discount, with_skeleton):
     if source == "none":
         dense = [[normalized_adjacency(g)]] * cfg.depth
     else:
-        dense = [piece_matrices(g, d, discount=discount)
+        dense = [piece_matrices(d, discount=discount)
                  for d in layer_decompositions(
                      g, cfg.k_schedule, source, p=4, seed=1,
                      with_skeleton=with_skeleton)]
@@ -550,9 +550,12 @@ def test_k_sweep_rows_and_aggregates():
     (lambda: depth_cells(_cfg(), [2], ["gcn"], [], 2), [0, 1], "0 cells"),
     (lambda: k_cells(_cfg(), [1, 2], "random"), [], "0 seeds"),
     (lambda: depth_cells(_cfg(), [2], ["gcn"], ["none"], 2), [], "0 seeds"),
+    # k is checked even when no cell is decomposed
+    (lambda: depth_cells(_cfg(), [2], ["gcn"], ["none"], 0), [0, 1],
+     "pieces per layer must be >= 1"),
 ], ids=["k-none", "k-k", "k-source", "depth-depth", "depth-backbone",
         "depth-source", "k-no-cells", "depth-no-cells", "k-no-seeds",
-        "depth-no-seeds"])
+        "depth-no-seeds", "depth-k-none"])
 def test_sweep_rejects_a_bad_cell_before_training(monkeypatch, cells, seeds,
                                                   message):
     """A bad later cell, or no cell or seed at all, fails before any trains."""

@@ -17,9 +17,10 @@ is the byte-identity check. The set covers decay (also at two depths with
 unrequested layers between them, and on a weighted graph), verify (also at
 a trial count that the suites run in several blocks), train for every
 backbone (vanilla and random-decomposed) and from a --config file, partition,
-connectivity-aware decompose, and the k and depth sweeps with both the random
-and the connectivity-aware decomposition (one depth sweep also with
---discount and --no-skeleton). It takes a few minutes on two cores.
+decompose (random, and connectivity-aware also on a weighted graph), and the
+k and depth sweeps with both the random and the connectivity-aware
+decomposition (one depth sweep also with --discount and --no-skeleton). It
+takes a few minutes on two cores.
 """
 
 import hashlib
@@ -89,6 +90,14 @@ def commands(work):
         ("decompose_ca", ["decompose", "--edges", str(planted),
                           "--strategy", "ca", "--k", "4", "--p", "16",
                           "--seed", "3"]),
+        # weighted edges: every FM refinement of the partition takes the
+        # float-weight path, and the piece files hold float weights
+        ("decompose_weighted", ["decompose", "--edges", str(weighted),
+                                "--strategy", "ca", "--k", "3", "--p", "4",
+                                "--seed", "2"]),
+        ("decompose_random", ["decompose", "--edges", str(planted),
+                              "--strategy", "random", "--k", "3",
+                              "--seed", "3"]),
     ]
     for backbone in BACKBONES:
         cmds.append((f"train_{backbone}_dec",
