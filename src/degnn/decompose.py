@@ -61,6 +61,8 @@ class Decomposition:
             raise DomainError(f"need k >= 1 pieces, got k={self.k}")
         check_source(self.source)
         for a in (*self.pieces, self.skeleton):
+            if len(a) and (a.min() < 0 or a.max() >= self.graph.m):
+                raise DomainError("decomposition is not of this graph's edges")
             a.flags.writeable = False
 
     def triples(self, index):

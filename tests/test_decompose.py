@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import degnn.decompose
 from degnn.decompose import (
+    Decomposition,
     connectivity_aware_decompose,
     decomposition_stats,
     layer_decompositions,
@@ -427,6 +430,33 @@ def test_piece_matrices_match_dense_reference():
                         assert np.array_equal(a, a.T)
                     cases += 1
     assert cases == 144
+
+
+def _decompositions_of_other_edges(g):
+    """Builders of decompositions of g whose indices run outside g's edges."""
+    five = Graph(4, [*g.edge_list(), (0, 2), (1, 3)])
+    return [lambda: replace(random_decompose(five, 1, seed=0), graph=g),
+            lambda: replace(random_decompose(five, 2, seed=0), graph=g),
+            lambda: replace(connectivity_aware_decompose(five, 2, 2, seed=0),
+                            graph=g),
+            lambda: Decomposition(g, 1, (np.array([-1, 0, 1]),),
+                                  np.array([], dtype=np.int64), "random")]
+
+
+def test_piece_matrices_reject_a_decomposition_of_other_edges():
+    """Such a decomposition cannot be built, so it never reaches them."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for build in _decompositions_of_other_edges(g):
+        with pytest.raises(DomainError, match="not of this graph's edges"):
+            piece_matrices(build())
+
+
+def test_stats_reject_a_decomposition_of_other_edges():
+    """Negative or past-the-end indices would count edges g lacks."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for build in _decompositions_of_other_edges(g):
+        with pytest.raises(DomainError, match="not of this graph's edges"):
+            decomposition_stats(build())
 
 
 def test_layer_decompositions_independent_per_layer():
