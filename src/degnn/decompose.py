@@ -129,7 +129,7 @@ def connectivity_aware_decompose(g, p, k, seed, with_skeleton=True,
     with_skeleton=False keeps the dealing order but plants no forest, so
     the pieces partition the edge set exactly. Nothing then reads a
     partition, so none is drawn; p is still checked as the partitioner
-    checks it.
+    checks it. The pieces are then the same for every seed and every p.
 
     partitions, when given, is a dict that the caller shares between calls
     on the same graphs, such as the cells of one sweep. It maps

@@ -275,11 +275,10 @@ def _fm_refine(adj, node_w, labels, p, cap, integral=None):
     (tests/oracles.py keeps it as fm_refine_reference).
 
     integral is _integral of the level's weights; _partition_region takes
-    it once per level, and it is computed from adj when not given.
+    it once per level, and it is computed from adj when not given. Callers
+    pass p >= 2 and a level of at least p nodes.
     """
     n = len(adj)
-    if p == 1 or n == 0:
-        return labels
     max_w = max(node_w)
     relaxed = cap + max_w
     part_w = [0.0] * p
@@ -443,6 +442,10 @@ def _fm_refine(adj, node_w, labels, p, cap, integral=None):
 def _partition_region(g, p, cap, rng):
     """Multilevel pipeline on a connected graph; returns its labels as a list.
 
+    Callers pass 2 <= p <= g.n. A level is kept only while the finer one
+    has more than 8p nodes, and a matching keeps at least half of a level's
+    nodes, so the coarsest level still has more than 4p nodes.
+
     Only the level being contracted or refined is held as dicts. Each finer
     level waits in `levels` packed (_pack), with its node weights and its
     map to the next coarser level, and uncoarsening pops, unpacks and
@@ -450,8 +453,6 @@ def _partition_region(g, p, cap, rng):
     Packing keeps every dict's insertion order, so FM's float sums run in
     the same order as on dicts that were never packed.
     """
-    if p == 1:
-        return [0] * g.n
     target = max(COARSE_STOP_FLOOR, COARSE_STOP_FACTOR * p)
     adj, node_w = _adjacency_lists(g), [1.0] * g.n
     levels = []
@@ -463,9 +464,6 @@ def _partition_region(g, p, cap, rng):
         adj, node_w = cadj, cw
     # a last contraction that was not used is dropped
     cadj = cw = cmap = None
-    # matching can overshoot below p on tiny regions; back off one level
-    while levels and p > len(adj):
-        adj, node_w, _, _ = _unpack_level(levels.pop())
     integral = _integral(_weights(adj))
     labels = None
     best_key = None
@@ -491,7 +489,8 @@ def _allocate_parts(sizes, p):
 
     Allocations are proportional to size, capped at the component size, and
     may be zero: a component too small to earn a part is packed whole onto
-    an existing part by the caller. The sum is exactly p.
+    an existing part by the caller. The sum is exactly p: the floors start
+    at most p, since each is at most its quota and the quotas sum to p.
     """
     total = sum(sizes)
     quotas = [s * p / total for s in sizes]
@@ -508,12 +507,6 @@ def _allocate_parts(sizes, p):
                 break
         else:
             raise DomainError("cannot allocate parts: p exceeds node count")
-    while sum(alloc) > p:
-        order = sorted(range(len(sizes)), key=lambda i: (remainder(i), i))
-        for i in order:
-            if alloc[i] > 0:
-                alloc[i] -= 1
-                break
     return alloc
 
 

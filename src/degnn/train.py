@@ -39,8 +39,6 @@ TRAIN_FRAC = 0.6
 VAL_FRAC = 0.2
 # redraws of a degenerate block model before generate_sbm gives up
 SBM_RETRIES = 5
-# uniform draws per row block of the block-model sampler
-SBM_DRAW_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,25 +83,29 @@ class NodeData:
 def _sbm_edges(blocks, spec, rng):
     """Upper-triangle hits of one n x n uniform draw, in row-major order.
 
-    The draw comes in blocks of about SBM_DRAW_CELLS cells (at least one
-    row). Consecutive row blocks consume the generator's stream exactly as
-    one (n, n) draw would, so the edges and every later draw are the same,
-    without an n x n array.
+    Row i skips its i + 1 cells on or below the diagonal with
+    bit_generator.advance and draws its cells j > i into a length-n row
+    whose other cells hold 1.0, which no probability exceeds (temporaries
+    of every shorter length would each stay in numpy's small-buffer cache).
+    This relies on numpy's PCG64: random() spends one 64-bit output per
+    double and advance(d) skips d outputs, so the edges and the state
+    afterwards are those of one (n, n) draw. advance drops the 32-bit half
+    an earlier integer draw may have buffered; it is put back for the next.
     """
     n = spec.n
-    step = max(1, SBM_DRAW_CELLS // n)
-    cols = np.arange(n)
-    hits_i, hits_j = [], []
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        prob = np.where(blocks[rows, None] == blocks[None, :], spec.p_in,
-                        spec.p_out)
-        hit = (rng.random((len(rows), n)) < prob) & (cols > rows[:, None])
-        i, j = np.nonzero(hit)
-        hits_i.append(rows[i])
-        hits_j.append(j)
-    return list(zip(np.concatenate(hits_i).tolist(),
-                    np.concatenate(hits_j).tolist()))
+    gen = rng.bit_generator
+    before = gen.state
+    draw = np.ones(n)
+    edges = []
+    for i in range(n):
+        gen.advance(i + 1)
+        draw[i] = 1.0
+        rng.random(out=draw[i + 1:])
+        prob = np.where(blocks == blocks[i], spec.p_in, spec.p_out)
+        edges += [(i, j) for j in np.flatnonzero(draw < prob).tolist()]
+    gen.state = {**gen.state, "has_uint32": before["has_uint32"],
+                 "uinteger": before["uinteger"]}
+    return edges
 
 
 def _sbm_once(spec, rng):

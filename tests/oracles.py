@@ -20,7 +20,9 @@ replaced. piece_matrices_reference is the dense masking that
 degnn.decompose.piece_matrices replaced with a scatter of the trainer's
 entries; neighbor_dicts rebuilds the per-node dicts that Graph dropped,
 for both. piece_graph and edge_union read a decomposition back as Graphs
-and pair sets.
+and pair sets. sbm_edges_dense is the one (n, n) uniform draw whose upper
+triangle degnn.train's block-model sampler reproduces without drawing the
+cells it never reads.
 
 endtoend_extremes and finite_diff_gradcheck are test helpers built on the
 library, not oracles: no program code calls them, so they live here.
@@ -657,6 +659,15 @@ def decay_curve_per_depth(stack, depths, n_samples=16, epsilon=1e-6, seed=0,
             }
         )
     return rows
+
+
+def sbm_edges_dense(blocks, spec, rng):
+    """Upper-triangle hits of one dense (n, n) uniform draw, row-major."""
+    prob = np.where(blocks[:, None] == blocks[None, :], spec.p_in, spec.p_out)
+    draw = rng.random((spec.n, spec.n))
+    iu, ju = np.triu_indices(spec.n, k=1)
+    hit = draw[iu, ju] < prob[iu, ju]
+    return list(zip(iu[hit].tolist(), ju[hit].tolist()))
 
 
 # The tuple-based decompositions that the index arrays of

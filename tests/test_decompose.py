@@ -1,4 +1,6 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from oracles import (
     piece_matrices_reference,
     random_decompose_reference,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from golden_digests import _cycle_graph  # noqa: E402
 
 
 def _pairs(d, index):
@@ -430,6 +435,42 @@ def test_piece_matrices_match_dense_reference():
                         assert np.array_equal(a, a.T)
                     cases += 1
     assert cases == 144
+
+
+def test_piece_sum_carries_the_shared_entries_k_fold(tmp_path):
+    """Undiscounted pieces sum to the whole matrix plus (K - 1) shared copies.
+
+    Entries outside the diagonal and the skeleton are the bits of the
+    normalized adjacency; shared entries are K times it, so the sum's
+    largest singular value exceeds 1. On the golden 40-cycle at K = 4 a
+    random decomposition (the diagonal only) reaches 1.4486 and a ca one
+    with p = 4, which also carries its skeleton K-fold, 2.3055.
+    """
+    path = tmp_path / "cycle.txt"
+    _cycle_graph(path)
+    cycle = Graph(40, [tuple(map(int, line.split()))
+                       for line in path.read_text().splitlines()])
+    rng = np.random.default_rng(31)
+    golden = {}
+    for g in (cycle, _random_graph(30, 70, rng), _random_graph(50, 90, rng)):
+        whole = normalized_adjacency(g)
+        lo, hi, _ = g.edge_arrays()
+        for k in (2, 3, 4):
+            for d in (random_decompose(g, k, seed=0),
+                      connectivity_aware_decompose(g, 4, k, seed=0)):
+                total = sum(piece_matrices(d))
+                shared = np.eye(g.n, dtype=bool)
+                shared[lo[d.skeleton], hi[d.skeleton]] = True
+                shared |= shared.T
+                assert np.array_equal(total[~shared], whole[~shared])
+                np.testing.assert_allclose(total[shared], k * whole[shared],
+                                           rtol=1e-15, atol=0)
+                sigma = np.linalg.norm(total, 2)
+                assert sigma > 1.0
+                if g is cycle and k == 4:
+                    golden[d.source] = sigma
+    assert golden["random"] == pytest.approx(1.4486, abs=1e-4)
+    assert golden["connectivity_aware"] == pytest.approx(2.3055, abs=1e-4)
 
 
 def _decompositions_of_other_edges(g):

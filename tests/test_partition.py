@@ -13,6 +13,7 @@ from degnn.graphs import Graph, connected_components
 from degnn.partition import (
     Partition,
     _adjacency_lists,
+    _allocate_parts,
     _fm_refine,
     _integral,
     _pack,
@@ -509,6 +510,19 @@ def test_integral_flag_matches_the_listwise_rule():
     for adj, *_ in _fm_starts():
         assert _integral(_weights(adj)) is listwise(adj)
     assert seen == {True, False}
+
+
+def test_allocate_parts_sums_to_p_within_each_size():
+    # quotas of small and of huge totals, where s * p / total rounds
+    rng = np.random.default_rng(2040)
+    for trial in range(3000):
+        top = int(rng.choice([3, 50, 10**6, 2**40]))
+        count = int(rng.integers(1, 40))
+        sizes = [int(s) for s in rng.integers(1, top, size=count)]
+        p = int(rng.integers(1, min(sum(sizes), 10**6) + 1))
+        alloc = _allocate_parts(sizes, p)
+        assert sum(alloc) == p, (sizes, p)
+        assert all(0 <= a <= s for a, s in zip(alloc, sizes)), (sizes, p)
 
 
 def test_fm_refine_matches_reference_loop():

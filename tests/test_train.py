@@ -35,7 +35,7 @@ from degnn.train import (
     train,
     write_history_csv,
 )
-from oracles import finite_diff_gradcheck
+from oracles import finite_diff_gradcheck, sbm_edges_dense
 
 _MIXED_SPEC = SBMSpec(n=90, b=3, p_in=0.25, p_out=0.02, d=5, noise=0.2)
 _CLEAN_SPEC = SBMSpec(n=90, b=3, p_in=0.3, p_out=0.0, d=5, noise=0.0)
@@ -87,27 +87,46 @@ def test_sbm_zero_crossing_prob_disconnects_blocks():
         assert _CLEAN.labels[i] == _CLEAN.labels[j]
 
 
-def test_sbm_row_blocks_match_one_dense_draw(monkeypatch):
-    """Any row-block size gives the edges and features of one (n, n) draw."""
-    def dense_reference(spec, seed):
-        rng = np.random.default_rng(seed)
-        blocks = np.repeat(np.arange(spec.b), -(-spec.n // spec.b))[: spec.n]
-        prob = np.where(blocks[:, None] == blocks[None, :], spec.p_in,
-                        spec.p_out)
-        draw = rng.random((spec.n, spec.n))
-        iu, ju = np.triu_indices(spec.n, k=1)
-        hit = draw[iu, ju] < prob[iu, ju]
-        feats = np.zeros((spec.n, spec.d))
-        feats[np.arange(spec.n), blocks] = 1.0
-        feats += spec.noise * rng.normal(size=(spec.n, spec.d))
-        return list(zip(iu[hit].tolist(), ju[hit].tolist())), feats
+def test_sbm_matches_one_dense_draw():
+    """generate_sbm gives the edges and features of one (n, n) draw."""
+    rng = np.random.default_rng(3)
+    spec = _MIXED_SPEC
+    blocks = np.repeat(np.arange(spec.b), -(-spec.n // spec.b))[: spec.n]
+    want_edges = sbm_edges_dense(blocks, spec, rng)
+    want_feats = np.zeros((spec.n, spec.d))
+    want_feats[np.arange(spec.n), blocks] = 1.0
+    want_feats += spec.noise * rng.normal(size=(spec.n, spec.d))
 
-    want_edges, want_feats = dense_reference(_MIXED_SPEC, 3)
-    for cells in (1, 200, 1 << 16):
-        monkeypatch.setattr(degnn.train, "SBM_DRAW_CELLS", cells)
-        data = generate_sbm(_MIXED_SPEC, seed=3)
-        assert [e[:2] for e in data.graph.edge_list()] == want_edges
-        assert np.array_equal(data.features, want_feats)
+    data = generate_sbm(spec, seed=3)
+    assert [e[:2] for e in data.graph.edge_list()] == want_edges
+    assert np.array_equal(data.features, want_feats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 997])
+def test_sbm_edges_leave_the_generator_as_one_dense_draw(n):
+    """_sbm_edges leaves the edges and generator state of one dense draw.
+
+    The sampler skips the cells on and below the diagonal with PCG64's
+    advance and relies on random() spending one 64-bit output per double;
+    this fails if numpy ever changes either. A generator that holds a
+    buffered 32-bit half from an earlier integer draw must keep it.
+    """
+    for b in (1, 2, 3):
+        if n < b:
+            continue
+        spec = SBMSpec(n=n, b=b, p_in=0.3, p_out=0.05, d=b)
+        blocks = np.repeat(np.arange(b), -(-n // b))[:n]
+        for seed in (0, 7, 11):
+            for buffered in (False, True):
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                if buffered:
+                    got_rng.integers(1000)
+                    want_rng.integers(1000)
+                got = degnn.train._sbm_edges(blocks, spec, got_rng)
+                assert got == sbm_edges_dense(blocks, spec, want_rng)
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state)
 
 
 def test_sbm_degenerate_draw_warns_then_fails():

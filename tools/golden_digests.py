@@ -21,6 +21,14 @@ decompose (random, and connectivity-aware also on a weighted graph), and the
 k and depth sweeps with both the random and the connectivity-aware
 decomposition (one depth sweep also with --discount and --no-skeleton). It
 takes a few minutes on two cores.
+
+tools/golden_digests.sha256 holds the lines at one BLAS thread (numpy
+2.4.6), so one tree is checked against them with
+
+    diff <(OPENBLAS_NUM_THREADS=1 python3 tools/golden_digests.py .) tools/golden_digests.sha256
+
+At two threads train_dense_dec/history.csv differs: a BLAS product in the
+trainer's backward pass rounds differently with the thread count.
 """
 
 import hashlib
